@@ -47,20 +47,6 @@ from repro.common.config import TelemetryConfig
 from repro.experiments import designs
 from repro.experiments.parallel import ParallelRunner
 from repro.experiments.runner import Runner, result_to_dict
-from repro.sim import fastpath
-
-
-def bench_host_metadata() -> dict:
-    """Host metadata plus the fastpath switch states the run was taken under.
-
-    Wall-clock numbers are only comparable between runs with the same
-    fast-path configuration (batching / pooling / columnar lane / numpy
-    availability), so the switches are recorded next to the host facts and
-    the ``--check`` guard refuses baselines taken under a different state.
-    """
-    meta = host_metadata()
-    meta["fastpath"] = fastpath.switch_state()
-    return meta
 
 PARTITIONS = 2
 HORIZON = 4_000
@@ -152,7 +138,7 @@ def core_bench() -> dict:
     off_median = statistics.median(off_times)
     on_median = statistics.median(on_times)
     return {
-        "host": bench_host_metadata(),
+        "host": host_metadata(),
         "points": len(points),
         "horizon": HORIZON,
         "warmup": WARMUP,
@@ -243,10 +229,8 @@ def regression_guard(core_report: dict, baseline_path: Path, start_load: float) 
     check has to skip itself), 1 on a regression beyond
     :data:`REGRESSION_TOLERANCE`.  Skips — with a printed notice — when
     no baseline file exists, the baseline predates the
-    ``events_per_second`` field, the baseline's recorded fastpath switch
-    state differs from the current one (an apples-to-oranges wall-clock
-    comparison), or the host's 1-minute loadavg at process start says
-    another tenant owns the machine.
+    ``events_per_second`` field, or the host's 1-minute loadavg at process
+    start says another tenant owns the machine.
     """
     cpus = os.cpu_count() or 1
     if start_load > LOAD_SKIP_FACTOR * cpus:
@@ -270,15 +254,6 @@ def regression_guard(core_report: dict, baseline_path: Path, start_load: float) 
         )
     except (ValueError, KeyError, TypeError):
         print(f"NOTICE: perf check skipped - unreadable baseline {baseline_path}")
-        return 0
-    base_switches = (baseline.get("host") or {}).get("fastpath")
-    current_switches = fastpath.switch_state()
-    if base_switches != current_switches:
-        print(
-            "NOTICE: perf check skipped - baseline fastpath switch state "
-            f"{base_switches} differs from current {current_switches}; "
-            "wall-clock comparison would be apples-to-oranges"
-        )
         return 0
     fresh_eps = core_report["events_per_second"]
     floor = (1.0 - REGRESSION_TOLERANCE) * base_eps
@@ -382,7 +357,7 @@ def main() -> int:
     telemetry_med = statistics.median(telemetry_times)
 
     report = {
-        "host": bench_host_metadata(),
+        "host": host_metadata(),
         "cpu_count": os.cpu_count(),
         "jobs": jobs,
         "points": len(points),

@@ -44,6 +44,10 @@ from repro.experiments import figures
 from repro.experiments.designs import DESIGNS
 from repro.experiments.parallel import ParallelRunner
 from repro.experiments.runner import Runner, gmean
+from repro.secure import layout as layout_mod
+from repro.secure import merkle
+from repro.secure.engine import _PARENT_MEMOS
+from repro.sim.cache import _index_geometry
 from repro.sim.gpu import simulate
 from repro.telemetry import write_artifacts
 from repro.workloads.suite import BENCHMARK_ORDER, get_benchmark
@@ -58,26 +62,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--version",
         action="version",
         version=f"%(prog)s {repro.__version__}",
-    )
-    # fast-path switches (global: they apply to whatever command runs).
-    # Results are bit-identical either way; these exist for A/B timing and
-    # for debugging with the simpler scalar core.
-    parser.add_argument(
-        "--no-batch",
-        action="store_true",
-        help="disable the batched core (grouped crossbar delivery, epoch "
-        "trace pregeneration); equivalent to REPRO_NO_BATCH=1",
-    )
-    parser.add_argument(
-        "--no-pool",
-        action="store_true",
-        help="disable object pooling/slot reuse; equivalent to REPRO_NO_POOL=1",
-    )
-    parser.add_argument(
-        "--no-columnar",
-        action="store_true",
-        help="disable the columnar delivery lane (regular delivery groups "
-        "fall back to per-access events); equivalent to REPRO_NO_COLUMNAR=1",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -225,8 +209,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--check",
         action="store_true",
         help="guard events/sec against the committed BENCH_core.json "
-        "baseline (skips itself when the baseline was taken under "
-        "different fastpath switches or the host is loaded)",
+        "baseline (skips itself when the host is loaded)",
     )
     bench.add_argument(
         "--json",
@@ -551,12 +534,42 @@ def _cmd_run(args) -> int:
                 f"(secondary {result.secondary_miss_ratio(kind):.1%})"
             )
     if args.warm_state:
-        from repro.sim import fastpath
-
         print()
-        for key, value in fastpath.warm_state().items():
+        for key, value in _warm_state().items():
             print(f"warm {key:24s} {value}")
     return 0
+
+
+def _warm_state() -> dict:
+    """Summary of the process-wide cross-point warm state.
+
+    Reports the shared secure-geometry memos the simulator keeps warm
+    across the points one process executes: layout instances and their
+    address-translation LRUs, tree-parent maps, and the shared cache
+    index-geometry table.  Purely observational — reading it never touches
+    simulated state.  In a process pool each worker accumulates its own.
+    """
+    layouts = layout_mod.shared_layout.cache_info()
+    translations = 0
+    for shared in layout_mod.shared_layouts():
+        for memo in (
+            shared.counter_block_addr,
+            shared.mac_block_addr,
+            shared.bmt_path_addrs,
+            shared.mt_path_addrs,
+        ):
+            translations += memo.cache_info().currsize
+    return {
+        "layouts": layouts.currsize,
+        "layout_reuses": layouts.hits,
+        "address_translations": translations,
+        "tree_parent_entries": sum(len(m) for m in _PARENT_MEMOS.values()),
+        "tree_geometries": (
+            merkle.bmt_geometry.cache_info().currsize
+            + merkle.mt_geometry.cache_info().currsize
+        ),
+        "cache_index_geometries": _index_geometry.cache_info().currsize,
+    }
 
 
 def _cmd_profile(args) -> int:
@@ -1275,14 +1288,6 @@ def _cmd_attack() -> int:
 
 def main(argv: Optional[List[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
-    if args.no_batch or args.no_pool or args.no_columnar:
-        from repro.sim import fastpath
-
-        fastpath.configure(
-            batching=False if args.no_batch else None,
-            pooling=False if args.no_pool else None,
-            columnar=False if args.no_columnar else None,
-        )
     if args.command == "run":
         return _cmd_run(args)
     if args.command == "profile":

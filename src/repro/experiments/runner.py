@@ -500,20 +500,6 @@ class Runner:
                 gc.enable()
         return self.stats.points_simulated - before
 
-    def warm_state(self) -> dict:
-        """Cross-point warm state accumulated by this process.
-
-        The batched core shares immutable secure-geometry memos (layouts,
-        address translations, tree-parent maps) across every point a
-        process executes; this reports their sizes.  For a
-        :class:`~repro.experiments.parallel.ParallelRunner` the answer
-        describes the *parent* process only — pool workers each accumulate
-        their own warm state and drop it when the pool shuts down.
-        """
-        from repro.sim import fastpath
-
-        return fastpath.warm_state()
-
     # ------------------------------------------------------------------
 
     def sweep(self, config: GpuConfig) -> Dict[str, SimulationResult]:

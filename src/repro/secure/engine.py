@@ -44,7 +44,6 @@ from repro.sim.dram import (
     CAT_TREE,
     DramChannel,
 )
-from repro.sim import fastpath
 from repro.sim.event import EventQueue
 from repro.sim.mshr import MshrTable
 from repro.telemetry.latency import (
@@ -141,7 +140,7 @@ class _KindState:
 #: surface the columnar delivery lane (:mod:`repro.sim.columnar`) binds at
 #: lane construction and mirrors inline: the mode/protection flags that
 #: let it precompute the read/write shape, the per-kind state bundles it
-#: peeks for metadata hits and secondary merges, and the scalar entry
+#: peeks for metadata hits and secondary merges, and the per-access entry
 #: points it delegates rare cases (primary misses, tree walks, counter
 #: increments) to before touching any state.  Renames here require a
 #: matching lane update; the contract test in
@@ -258,17 +257,13 @@ class SecureEngine:
         self._dram_read = dram.read
         self._dram_write = dram.write
         #: free-list of _Inflight records (slot reuse for per-miss churn).
-        self._pooling = fastpath.POOLING
         self._inflight_pool: List[_Inflight] = []
         #: (kind, block_addr) -> parent tree-node address (or None); pure
-        #: geometry, so memoizing cannot change results.  Under the batched
-        #: core the memo is shared process-wide (cross-point warm state).
-        if fastpath.BATCHING:
-            self._parent_memo = _shared_parent_memo(
-                layout, self._counter_mode, config.uses_tree
-            )
-        else:
-            self._parent_memo = {}
+        #: geometry, so memoizing cannot change results.  The memo is
+        #: shared process-wide (cross-point warm state).
+        self._parent_memo = _shared_parent_memo(
+            layout, self._counter_mode, config.uses_tree
+        )
         self._kind_state = {
             kind: _KindState(kind, self._kind_stats[kind]) for kind in MetadataKind
         }
@@ -628,8 +623,9 @@ class SecureEngine:
             if entry is not None:
                 mshr.release(block_addr)
                 mshr.recycle(entry)
-        dirty = pending.dirty if pending is not None else False
-        if pending is not None and self._pooling:
+        dirty = False
+        if pending is not None:
+            dirty = pending.dirty
             self._inflight_pool.append(pending)
         evictions = state.cache.fill(block_addr, dirty=dirty)
         state.counts["fills"] += 1.0

@@ -1,31 +1,28 @@
 """Columnar delivery lane: fused timing for regular delivery groups.
 
-The batched core (PR 6) already retires one warp memory op's sectors as a
-single grouped crossbar delivery — k consecutive same-cycle accesses that
-nothing can interleave with.  That group is the safe columnar unit: this
-module classifies each delivery group as *regular* (every partition it
-touches is in a supported configuration and no telemetry hook is live) and,
-when it is, routes the whole group around the per-access closure/dispatch
-machinery of ``partition.access`` → ``engine.read_sector`` →
-``dram.read``:
+The SM retires one warp memory op's sectors as a single grouped crossbar
+delivery — k consecutive same-cycle accesses that nothing can interleave
+with.  That group is the safe columnar unit: this module classifies each
+delivery group as *regular* (every partition it touches is in a
+supported configuration and no telemetry hook is live) and, when it is,
+routes the whole group around the per-access closure/dispatch machinery
+of ``partition.access`` → ``engine.read_sector`` → ``dram.read``:
 
 * a column pass derives the partition index, partition-local address, L2
-  tag and sector bit for every access up front — vectorized with numpy for
-  wide coalesced groups, with a bit-identical pure-Python twin below the
-  numpy threshold (and in numpy-less environments);
+  tag and sector bit for every access up front;
 * a fused per-sector pass then applies every state transition *in the
-  exact order the scalar path would* — L2 LRU/tag updates, MSHR
+  exact order the per-access path would* — L2 LRU/tag updates, MSHR
   allocate/merge, secure-metadata cache peek/merge, AES/MAC pipe FCFS
   reservations, DRAM channel prefix occupancy — inlining the hot common
   cases and delegating rare/complex cases (metadata primary misses, tree
   walks, counter overflows, MSHR-full stalls in unusual cache shapes) to
-  the existing scalar methods *before* any state is touched.
+  the existing per-access methods *before* any state is touched.
 
-Because stateful mutations happen in scalar order and every scheduled
-event keeps its (time, seq) position, results are bit-identical to the
-event-path core; the ``fastpath.COLUMNAR`` switch and the golden-identity
-suite pin that claim.  Irregular groups — telemetry live, banked DRAM,
-metadata trace hooks, exotic cache geometry — fall back to the scalar
+Because stateful mutations happen in per-access order and every
+scheduled event keeps its (time, seq) position, results are
+bit-identical to the per-access path; the golden-identity suite pins
+that claim.  Irregular groups — telemetry live, banked DRAM, metadata
+trace hooks, exotic cache geometry — fall back to the per-access
 ``Crossbar._deliver_batch`` loop untouched.
 """
 
@@ -37,21 +34,10 @@ from typing import Callable, List, Optional
 from repro.common import params
 from repro.common.config import MetadataKind
 from repro.secure.engine import _PRIMARY, SecureEngine
-from repro.sim import fastpath
 from repro.sim.cache import SectoredCache, _Line
 from repro.sim.dram import DramChannel
 from repro.sim.mshr import MshrEntry
 from repro.sim.partition import BACKLOG_WINDOW, MemoryPartition
-
-if fastpath.HAVE_NUMPY:
-    import numpy as _np
-else:  # pragma: no cover - exercised in numpy-less environments
-    _np = None
-
-#: below this group size the scalar column twin wins (numpy call overhead
-#: exceeds the per-element savings for the 2–8 sector groups typical of
-#: 32-thread coalesced ops); wide groups take the vectorized pass.
-NUMPY_MIN_GROUP = 16
 
 
 class _KindLane:
@@ -82,7 +68,7 @@ class _KindLane:
         # the inline peek handles the dominant shape: a non-sectored
         # SectoredCache with power-of-two lines and an MSHR table.  Perfect
         # and infinite metadata caches (and any other shape) go through the
-        # scalar _metadata_cache_access call unchanged.
+        # per-access _metadata_cache_access call unchanged.
         self.fast = (
             not engine._perfect
             and not engine._infinite
@@ -112,7 +98,7 @@ class _PartitionLane:
     statement sequence of ``MemoryPartition.access``/``_handle_read``/
     ``_handle_write`` and ``SecureEngine.read_sector``/``write_sector``
     with telemetry off; any behavioral divergence is a bug caught by the
-    fastpath-identity golden suite.
+    golden-identity suite.
     """
 
     __slots__ = (
@@ -283,7 +269,7 @@ class _PartitionLane:
         self.mac_latency = mac_unit.latency
         self.dram_counts = dram._counts
         # shares the channel's occupancy memo so the float is the very
-        # division result the scalar path uses.
+        # division result the per-access path uses.
         self.dram_occ = dram._occupancy(self.fetch_bytes)
         self.dram_latency = dram.access_latency
         self.dram_txn = self.fetch_bytes // params.SECTOR_BYTES or 1
@@ -293,7 +279,7 @@ class _PartitionLane:
     def _reply(self, respond: Callable[[float], None]) -> None:
         """Fired at a request's partition-done time: schedule SM arrival.
 
-        Stands in for the scalar per-item ``reply`` closure on paths where
+        Stands in for the per-access ``reply`` closure on paths where
         the closure would fire as its own event anyway (L2 hits, writes,
         duplicate fetches): one seq at schedule time, one at arrival, the
         same consumption pattern as the closure.
@@ -304,7 +290,7 @@ class _PartitionLane:
 
     def _make_reply(self, respond: Callable[[float], None]):
         """A real closure for waiter lists (fill/merge paths call it with a
-        completion time, exactly like the scalar ``reply``)."""
+        completion time, exactly like the per-access ``reply``)."""
         schedule_at = self.schedule_at
         latency = self.latency
 
@@ -322,7 +308,7 @@ class _PartitionLane:
         Inlines the dominant outcomes — cache hit and MSHR secondary merge
         — after non-mutating peeks; every other case (primary miss, dup
         fetch, MSHR-full, perfect/infinite caches) is delegated to the
-        scalar method before any state is touched, so stats and timing are
+        per-access method before any state is touched, so stats and timing are
         charged exactly once either way.
         """
         if lane.fast:
@@ -567,12 +553,12 @@ class _PartitionLane:
     def _on_fill(self, sector: int) -> None:
         """Inline of ``MemoryPartition._on_fill`` (telemetry off).
 
-        Fires as the same single event the scalar path schedules; waiter
+        Fires as the same single event the per-access path schedules; waiter
         closures are invoked in list order, so every downstream arrival
-        keeps its sequence position.  Waiters attached by the scalar path
+        keeps its sequence position.  Waiters attached by the per-access path
         (telemetry flipped on mid-flight) are plain ``reply`` closures with
         the same signature, so mixing is safe.  A fill scheduled during
-        warmup can fire after the telemetry boundary — then the scalar
+        warmup can fire after the telemetry boundary — then the per-access
         method runs instead, so its write-backs emit their records.
         """
         partition = self.partition
@@ -712,7 +698,7 @@ class _PartitionLane:
             ready = self._engine_read(begin, sector)
         if mshr_enabled and len(entries) < self.l2_cap:
             # MshrTable.allocate, inlined (enabled/full/dup pre-checked by
-            # the flow above, exactly as the scalar caller guarantees).
+            # the flow above, exactly as the per-access caller guarantees).
             pool = self.l2_pool
             if pool:
                 entry = pool.pop()
@@ -825,7 +811,7 @@ class ColumnarLane:
         Returns False — before touching any state — when the group is
         irregular: lane disabled at construction, or telemetry emission
         currently live on any partition (the flags flip at the warmup
-        boundary).  The caller then takes the scalar loop.
+        boundary).  The caller then takes the per-access loop.
         """
         if not self._ok:
             return False
@@ -835,36 +821,12 @@ class ColumnarLane:
         for p in self._partitions:
             if p._lat_on or p._trace_on:
                 return False
-        n = len(items)
         shift = self._shift
         pshift = self._pshift
         offset_mask = self._offset_mask
         pmask = self._pmask
         l2_shift = self._l2_shift
         lanes = self._lanes
-        if _np is not None and n >= NUMPY_MIN_GROUP:
-            # vectorized column pass: partition index, local address, L2
-            # tag and sector bit for the whole group in four array ops.
-            addrs = _np.fromiter((item[0] for item in items), _np.int64, count=n)
-            pidx_col = ((addrs >> shift) & pmask).tolist()
-            local = ((addrs >> (shift + pshift)) << shift) | (addrs & offset_mask)
-            tag_col = (local >> l2_shift).tolist()
-            if self._l2_sectored:
-                bit_col = (
-                    _np.left_shift(1, (local >> self._sector_shift) & self._spl_mask)
-                ).tolist()
-            else:
-                bit_col = [1] * n
-            local_col = local.tolist()
-            for i in range(n):
-                item = items[i]
-                lane = lanes[pidx_col[i]]
-                if item[1]:
-                    lane.write(now, local_col[i], tag_col[i], bit_col[i], item[2])
-                else:
-                    lane.read(now, local_col[i], tag_col[i], bit_col[i], item[2])
-            return True
-        # scalar column twin (also the numpy-less path)
         sectored = self._l2_sectored
         sector_shift = self._sector_shift
         spl_mask = self._spl_mask
@@ -884,8 +846,6 @@ class ColumnarLane:
 
 
 def build_lane(config, events, partitions, latency) -> Optional[ColumnarLane]:
-    """A lane for this GPU, or None when the switches rule it out."""
-    if not (fastpath.BATCHING and fastpath.COLUMNAR):
-        return None
+    """A lane for this GPU, or None when its configuration rules one out."""
     lane = ColumnarLane(config, events, partitions, latency)
     return lane if lane._ok else None

@@ -42,7 +42,7 @@ ALL_CATEGORIES = (
 #: surface the columnar delivery lane (:mod:`repro.sim.columnar`) binds at
 #: lane construction: the FCFS channel state it reserves inline for data
 #: fetches/write-backs and the memoized per-size occupancy it reuses so
-#: timing floats stay the exact division results the scalar path computes.
+#: timing floats stay the exact division results the per-access path computes.
 #: Renames here require a matching lane update; the contract test in
 #: ``tests/test_fastpath_identity.py`` pins the names.
 COLUMNAR_CONTRACT = (

@@ -84,8 +84,8 @@ class EventQueue:
         self._stopped = False
         #: logical events folded into batch callbacks (grouped crossbar
         #: delivery executes N per-access deliveries under one scheduled
-        #: event; the extra N-1 are counted here so events/sec stays
-        #: comparable across the batched and scalar cores).
+        #: event; the extra N-1 are counted here so events/sec keeps
+        #: counting one event per access).
         self.extra_events = 0
         #: free-list of payload lists for batch events (slot reuse).
         self._list_pool: List[list] = []

@@ -15,8 +15,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.common.config import GpuConfig, MetadataKind
 from repro.common.stats import StatGroup
-from repro.secure.layout import MetadataLayout, shared_layout
-from repro.sim import fastpath
+from repro.secure.layout import shared_layout
 from repro.sim.dram import ALL_CATEGORIES
 from repro.sim.event import EventQueue
 from repro.sim.interconnect import Crossbar
@@ -101,13 +100,10 @@ class Gpu:
         self.stats = StatGroup("gpu")
         # per-partition metadata: each memory controller protects its own
         # slice of the protected range with its own counters/MACs/tree.
-        # Under the batched core the (immutable) layout is shared process-
-        # wide, so address-translation memos stay warm across points.
+        # The (immutable) layout is shared process-wide, so its
+        # address-translation memos stay warm across points.
         per_partition = config.secure.protected_bytes // config.num_partitions
-        if fastpath.BATCHING:
-            self.layout = shared_layout(max(per_partition, 1 << 20))
-        else:
-            self.layout = MetadataLayout(max(per_partition, 1 << 20))
+        self.layout = shared_layout(max(per_partition, 1 << 20))
         #: telemetry is opt-in; when off, components hold NULL_TRACER and
         #: the event loop sees no sampler events — the timed path is
         #: bit-identical to a build without telemetry at all.
@@ -149,11 +145,10 @@ class Gpu:
                     sm_id,
                     config,
                     self.events,
-                    self.crossbar.send,
+                    self.crossbar.send_batch,
                     self.stats.child(f"sm{sm_id}"),
                     traces,
                     latency=latency,
-                    send_batch=self.crossbar.send_batch,
                 )
             )
 
@@ -226,8 +221,8 @@ class Gpu:
         result = self._summarize(horizon)
         # count *logical* events: a grouped crossbar delivery retires one
         # scheduled event but performs N per-access deliveries; the queue
-        # accumulates the extra N-1 so events/sec stays comparable between
-        # the batched and scalar cores.
+        # accumulates the extra N-1 so events/sec keeps counting one event
+        # per access.
         result.events_processed = processed + self.events.extra_events
         return result
 

@@ -8,7 +8,7 @@ standard GPU scheme that spreads streaming traffic evenly.
 
 from __future__ import annotations
 
-from typing import Callable, List
+from typing import List
 
 from repro.common.config import GpuConfig
 from repro.common.stats import StatGroup
@@ -54,9 +54,9 @@ class Crossbar:
         self._counts = stats.raw()
         self._lat = latency if latency is not None else NULL_LATENCY
         self._lat_on = self._lat.enabled
-        #: columnar delivery lane (None when the switches or the model
-        #: configuration rule it out); grouped deliveries classified as
-        #: regular bypass the per-access closure machinery through it.
+        #: columnar delivery lane (None when the model configuration rules
+        #: it out); grouped deliveries classified as regular bypass the
+        #: per-access closure machinery through it.
         self._lane = columnar.build_lane(config, events, partitions, self.latency)
 
     def partition_of(self, addr: int) -> int:
@@ -65,42 +65,17 @@ class Crossbar:
             return (addr >> shift) & self._partition_mask
         return (addr // self._interleave) % self._num_partitions
 
-    def send(
-        self,
-        now: float,
-        addr: int,
-        is_write: bool,
-        respond: Callable[[float], None],
-    ) -> None:
-        """Forward a request; *respond* fires back at the SM side."""
-        self._counts["requests"] += 1.0
-        partition = self.partitions[self.partition_of(addr)]
-        if self._lat_on:
-            # fixed traversal cost, both directions, paid by every request.
-            self._lat.record(HOP_ICNT, "DATA", 0.0, 2.0 * self.latency)
-
-        def reply(done: float) -> None:
-            arrive = done + self.latency
-            self.events.schedule_at(arrive, respond, arrive)
-
-        self.events.schedule(self.latency, self._deliver, partition, addr, is_write, reply)
-
-    def _deliver(self, partition: MemoryPartition, addr: int, is_write: bool, reply) -> None:
-        partition.access(self.events.now, addr, is_write, reply)
-
     def send_batch(self, now: float, items: list) -> None:
         """Forward a group of same-cycle requests as one scheduled event.
 
         *items* is a list of ``(addr, is_write, respond)`` tuples (borrowed
-        from the event queue's list pool).  In the scalar core these were
-        consecutive ``send`` calls: k deliver events with identical
-        timestamps and consecutive sequence numbers, so nothing could fire
-        between them — executing the deliveries back to back under one
-        event is order-identical, and every downstream event keeps its
-        relative scheduling order.
+        from the event queue's list pool); each *respond* fires back at the
+        SM side with the reply's arrival time.  The requests are delivered
+        back to back, in list order, one crossbar traversal after *now*.
         """
         self._counts["requests"] += float(len(items))
         if self._lat_on:
+            # fixed traversal cost, both directions, paid by every request.
             record = self._lat.record
             traversal = 2.0 * self.latency
             for _ in items:

@@ -18,7 +18,6 @@ from __future__ import annotations
 import heapq
 from typing import Any, Dict, List, Tuple
 
-from repro.sim import fastpath
 from repro.telemetry.latency import HOP_MSHR, NULL_LATENCY
 from repro.telemetry.tracer import NULL_TRACER
 
@@ -155,9 +154,8 @@ class MshrTable:
 
     def recycle(self, entry: MshrEntry) -> None:
         """Return a released entry to the free-list (caller is done with it)."""
-        if fastpath.POOLING:
-            entry.waiters.clear()
-            self._pool.append(entry)
+        entry.waiters.clear()
+        self._pool.append(entry)
 
     def earliest_ready(self) -> float:
         """Ready time of the first fill that will free an entry."""

@@ -51,7 +51,7 @@ BACKLOG_WINDOW = 2048.0
 #: surface the columnar delivery lane (:mod:`repro.sim.columnar`) binds at
 #: lane construction and mirrors inline: admission gate + bank port state,
 #: fetch geometry, the L2 MSHR bindings, address-interleave geometry, the
-#: telemetry-emission flags probed per delivery, and the scalar fill
+#: telemetry-emission flags probed per delivery, and the per-access fill
 #: methods the lane delegates to once telemetry flips on at the warmup
 #: boundary.  Renames here require a matching lane update; the contract
 #: test in ``tests/test_fastpath_identity.py`` pins the names.
@@ -223,9 +223,8 @@ class MemoryPartition:
                 {"addr": addr, "w": int(is_write)},
             )
         if lat_on or trace_on:
-            # one completion wrapper covers both telemetry channels (the
-            # scalar core stacked two closures); emission order on
-            # completion is unchanged: the e2e latency record, then the
+            # one completion wrapper covers both telemetry channels;
+            # emission order on completion: the e2e latency record, then the
             # trace instant, then the caller's callback.  Both observe a
             # completion time the model computed anyway.
             inner = respond

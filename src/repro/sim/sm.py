@@ -20,7 +20,6 @@ from typing import Callable, Dict, Iterator, List
 from repro.common import params
 from repro.common.config import GpuConfig
 from repro.common.stats import StatGroup
-from repro.sim import fastpath
 from repro.sim.cache import AccessResult, SectoredCache, _Line
 from repro.sim.event import EventQueue
 from repro.sim.resource import ThroughputResource
@@ -28,8 +27,10 @@ from repro.telemetry.latency import HOP_L1, HOP_SM, NULL_LATENCY, STALL_L1_MSHR_
 from repro.telemetry.traffic import TrafficClass
 from repro.workloads.base import THREADS_PER_WARP, WarpOp
 
-#: send(now, sector_addr, is_write, respond) — provided by the GPU top level.
-SendFn = Callable[[float, int, bool, Callable[[float], None]], None]
+#: send_batch(now, items) — provided by the GPU top level; *items* is a list
+#: of ``(sector_addr, is_write, respond)`` tuples borrowed from the event
+#: queue's list pool, whose ownership passes to the callee.
+SendBatchFn = Callable[[float, list], None]
 
 #: cap on how many pure-compute ops are batched into one event.
 _COMPUTE_BATCH_CAP = 64
@@ -46,8 +47,8 @@ class _WarpState:
         self.trace = trace
         self.pending = 0
         self.resume_at = 0.0
-        #: persistent completion callback, bound once by the SM — the scalar
-        #: core used to build a fresh closure per memory access.
+        #: persistent completion callback, bound once by the SM instead of
+        #: a fresh closure per memory access.
         self.done: Callable[[float], None] | None = None
 
 
@@ -59,16 +60,17 @@ class StreamingMultiprocessor:
         sm_id: int,
         config: GpuConfig,
         events: EventQueue,
-        send: SendFn,
+        send_batch: SendBatchFn,
         stats: StatGroup,
         warp_traces: List[Iterator[WarpOp]],
         latency=None,
-        send_batch=None,
     ) -> None:
         self.sm_id = sm_id
         self.config = config
         self.events = events
-        self.send = send
+        #: grouped crossbar delivery: one scheduled event per memory op
+        #: instead of one per sector.
+        self.send_batch = send_batch
         self.stats = stats
         self.issue = ThroughputResource(f"sm{sm_id}-issue")
         self.issue_width = config.sm_issue_width
@@ -114,10 +116,6 @@ class StreamingMultiprocessor:
             warp.done = self._make_warp_cb(warp)
         self._stat_add = stats.add
         self._counts = stats.raw()
-        #: grouped crossbar delivery (one scheduled event per memory op
-        #: instead of one per sector); provided by the GPU top level when
-        #: the batched core is on, None routes through the scalar path.
-        self.send_batch = send_batch if fastpath.BATCHING else None
 
     # ------------------------------------------------------------------
 
@@ -135,8 +133,7 @@ class StreamingMultiprocessor:
         """
         now = self.events.now
         # port_ready starts at now and only grows (acquire never returns a
-        # start before now), so the scalar core's max(port_ready, now) is a
-        # no-op and is dropped here.
+        # start before now), so it needs no max(port_ready, now) floor.
         port_ready = now
         latency = 0.0
         issue = self.issue
@@ -179,10 +176,8 @@ class StreamingMultiprocessor:
     def _issue_memory(self, warp: _WarpState, op: WarpOp) -> None:
         """Resolve one memory op's sectors against the L1 and ship the rest.
 
-        All misses of the op leave as one grouped crossbar delivery (they
-        were consecutive same-cycle sends in the scalar core, so grouping
-        cannot reorder anything); the scalar per-sector path remains for
-        builds without batching.
+        All misses of the op leave as one grouped crossbar delivery: they
+        are same-cycle sends that nothing can interleave with.
         """
         now = self.events.now
         warp.pending = 0
@@ -197,8 +192,7 @@ class StreamingMultiprocessor:
         is_write = op.is_write
         warp_cb = warp.done
         lat_cb = None
-        batch = self.events.borrow_list() if self.send_batch is not None else None
-        send = self.send
+        batch = self.events.borrow_list()
         # inline L1 probe: same stat updates and LRU motion as
         # SectoredCache.lookup, valid only while L1 telemetry is off (a hit
         # records a latency sample and traces emit per-probe events).
@@ -242,10 +236,7 @@ class StreamingMultiprocessor:
             if is_write:
                 counts["stores"] += 1.0
                 warp.pending += 1
-                if batch is None:
-                    send(now, sector, True, warp_cb)
-                else:
-                    batch.append((sector, True, warp_cb))
+                batch.append((sector, True, warp_cb))
                 continue
             counts["loads"] += 1.0
             if hit:
@@ -260,8 +251,7 @@ class StreamingMultiprocessor:
                 # observe the SM-side round trip of the read miss (issue ->
                 # fill/response); pure observation, never alters the
                 # callback's timing.  One wrapper serves the whole op: every
-                # registration fires once, so the records are identical to
-                # the scalar core's per-access wrappers.
+                # registration fires once, so it records one sample per miss.
                 if lat_cb is None:
                     sm_q, sm_s = self._sm_pend
 
@@ -280,18 +270,11 @@ class StreamingMultiprocessor:
                     waiters.append(cb)
                 else:
                     self._stat_add("l1_unmerged")
-                    if batch is None:
-                        send(now, sector, False, cb)
-                    else:
-                        batch.append((sector, False, cb))
+                    batch.append((sector, False, cb))
                 continue
             if len(inflight) < self._l1_mshrs:
                 inflight[sector] = [cb]
-                fill_cb = partial(self._on_l1_fill, sector)
-                if batch is None:
-                    send(now, sector, False, fill_cb)
-                else:
-                    batch.append((sector, False, fill_cb))
+                batch.append((sector, False, partial(self._on_l1_fill, sector)))
             else:
                 self._stat_add("l1_mshr_full")
                 if lat_on:
@@ -303,15 +286,11 @@ class StreamingMultiprocessor:
                         _stall(STALL_L1_MSHR_FULL, time - _now)
                         _inner(time)
 
-                if batch is None:
-                    send(now, sector, False, cb)
-                else:
-                    batch.append((sector, False, cb))
-        if batch is not None:
-            if batch:
-                self.send_batch(now, batch)
-            else:
-                self.events.recycle_list(batch)
+                batch.append((sector, False, cb))
+        if batch:
+            self.send_batch(now, batch)
+        else:
+            self.events.recycle_list(batch)
         # hit_ready starts at now and only grows, so it already floors at now.
         if warp.pending == 0:
             self.events.schedule_at(hit_ready, self._step, warp)

@@ -40,8 +40,6 @@ import math
 from collections import defaultdict
 from typing import Dict, List, Optional, Tuple
 
-from repro.sim import fastpath
-
 # -- hop names ---------------------------------------------------------------
 
 HOP_SM = "sm_mem"
@@ -235,67 +233,36 @@ def _stall_entry() -> List[float]:
     return [0.0, 0.0]
 
 
-try:  # optional: vectorizes the deferred histogram fold below.
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised via REPRO_NO_BATCH runs
-    _np = None
-
-#: below this batch size the eager per-value replay wins — the same
-#: call-overhead crossover as the columnar lane's
-#: :data:`repro.sim.columnar.NUMPY_MIN_GROUP` (numpy array setup costs
-#: more than it saves on the 2–8 element flushes sparse hops produce).
-NUMPY_MIN_FOLD = 16
-
-
 def _fold_values(hist: LogHistogram, values: List[float]) -> None:
     """Fold raw samples into *hist*, bit-identical to per-value `record`.
 
-    The vectorized path only applies to a *fresh* histogram, where every
-    derived quantity provably matches the eager sequence:
-
-    * per-bucket counts are integers (exact);
-    * per-bucket sums: ``np.bincount(idx, weights)`` accumulates each
-      bucket's values in array order from 0.0 — the same left fold the
-      eager path performs on a bucket that starts at 0.0;
-    * ``total`` uses the builtin ``sum`` (a left fold in emission order);
-    * ``min``/``max`` keep the eager tie behavior via strict comparisons;
-    * ``int(v).bit_length()`` equals ``np.frexp(np.floor(v))[1]`` for
-      ``v >= 0`` (frexp's exponent of an integer is its bit length, and
-      both are 0 for ``v < 1``);
-    * buckets are created in first-appearance order, so later
-      ``merge_from`` iteration order is unchanged.
-
-    Histograms that already hold data (or tiny batches) replay the eager
-    update per value, which is trivially identical.
+    :meth:`LogHistogram.record` inlined into one loop — the same clamp,
+    bucket index, and additions in emission order — with the running
+    counters held in locals.  The inlining is the point: a ``record``
+    call per value is a measurable share of a telemetry-on run.
     """
-    if (
-        _np is not None
-        and len(values) >= NUMPY_MIN_FOLD
-        and hist.n == 0
-        and not hist.buckets
-    ):
-        if fastpath.BATCHING:
-            arr = _np.asarray(values, dtype=_np.float64)
-            if (arr < 0.0).any():
-                arr = _np.where(arr < 0.0, 0.0, arr)
-            idx = _np.frexp(_np.floor(arr))[1]
-            counts = _np.bincount(idx)
-            sums = _np.bincount(idx, weights=arr)
-            uniq, first_pos = _np.unique(idx, return_index=True)
-            for index in uniq[_np.argsort(first_pos, kind="stable")].tolist():
-                hist.buckets[index] = [float(counts[index]), float(sums[index])]
-            clamped = arr.tolist()
-            hist.n = len(clamped)
-            hist.total = sum(clamped)
-            low, high = min(clamped), max(clamped)
-            if low < hist.min:
-                hist.min = low
-            if high > hist.max:
-                hist.max = high
-            return
-    rec = hist.record
+    buckets = hist.buckets
+    total = hist.total
+    low = hist.min
+    high = hist.max
     for value in values:
-        rec(value)
+        if value < 0.0:
+            value = 0.0
+        index = int(value).bit_length() if value >= 1.0 else 0
+        bucket = buckets.get(index)
+        if bucket is None:
+            bucket = buckets[index] = [0.0, 0.0]
+        bucket[0] += 1.0
+        bucket[1] += value
+        total += value
+        if value < low:
+            low = value
+        if value > high:
+            high = value
+    hist.n += len(values)
+    hist.total = total
+    hist.min = low
+    hist.max = high
 
 
 class LatencyRecorder:

@@ -30,7 +30,7 @@ class WarpOp:
 
     Slotted: the SM's issue loop reads several fields per op for millions
     of ops per run, and slot descriptors beat per-instance dict lookups
-    (they also shrink the resident epoch buffers).
+    (they also shrink the per-warp op memos).
     """
 
     n_insts: int
@@ -59,11 +59,12 @@ def make_op_unchecked(
 ) -> WarpOp:
     """A :class:`WarpOp` without ``__post_init__`` validation.
 
-    For the epoch-batched trace generators only: their address arithmetic
-    produces sector-aligned addresses by construction (every term is a
-    multiple of ``SECTOR_BYTES``), so re-validating each op would only
-    re-prove an invariant per step.  The resulting object is
-    indistinguishable from a normally-constructed ``WarpOp``.
+    For the trace generators in :mod:`repro.workloads.patterns` only:
+    their address arithmetic produces sector-aligned addresses by
+    construction (every term is a multiple of ``SECTOR_BYTES``), so
+    re-validating each op would only re-prove an invariant per step.  The
+    resulting object is indistinguishable from a normally-constructed
+    ``WarpOp``.
     """
     op = _OP_NEW(WarpOp)
     _OP_SET(op, "n_insts", n_insts)

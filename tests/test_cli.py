@@ -1,5 +1,8 @@
 """Command-line interface."""
 
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -52,6 +55,24 @@ class TestRun:
         assert main(["run", "nw", "--design", "secureMem_mshr64", *FAST]) == 0
         out = capsys.readouterr().out
         assert "mac miss rate" in out
+
+    def test_warm_state_prints_every_key(self, capsys):
+        argv = ["run", "nw", "--design", "secureMem_mshr64", "--warm-state", *FAST]
+        assert main(argv) == 0
+        warm = dict(
+            line.split()[1:]
+            for line in capsys.readouterr().out.splitlines()
+            if line.startswith("warm ")
+        )
+        assert set(warm) == {
+            "layouts",
+            "layout_reuses",
+            "address_translations",
+            "tree_parent_entries",
+            "tree_geometries",
+            "cache_index_geometries",
+        }
+        assert int(warm["layouts"]) >= 1
 
     def test_rejects_unknown_workload(self):
         with pytest.raises(SystemExit):
@@ -132,6 +153,40 @@ class TestObservabilityErrors:
         assert "Traceback" not in err
 
 
+class TestImportFootprint:
+    def test_cli_and_telemetry_run_never_import_numpy(self):
+        """The package is pure Python: importing the CLI and running one
+        telemetry-on point (trace generation, the columnar lane and the
+        histogram fold all run) loads no numpy.  A fresh interpreter,
+        because the test runner's own plugins may load it."""
+        code = (
+            "import dataclasses, sys\n"
+            "import repro.cli\n"
+            "from repro.common.config import TelemetryConfig\n"
+            "from repro.experiments.designs import build_named_gpu\n"
+            "from repro.sim.gpu import simulate\n"
+            "from repro.workloads.suite import get_benchmark\n"
+            "config = dataclasses.replace(build_named_gpu('secureMem_mshr64', 2),\n"
+            "    telemetry=TelemetryConfig(enabled=True, sample_every=500.0))\n"
+            "result = simulate(config, get_benchmark('fdtd2d'), 1000, 500)\n"
+            "assert result.telemetry['latency'], 'no latency export'\n"
+            "assert 'numpy' not in sys.modules, 'numpy was imported'\n"
+        )
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+
+
 class TestDesignRegistryConsistency:
     def test_every_factory_builds(self):
         for name, factory in DESIGNS.items():
@@ -146,12 +201,8 @@ class TestBench:
 
     @staticmethod
     def _canned_report():
-        import json
-
-        from repro.sim import fastpath
-
         return {
-            "host": {"fastpath": fastpath.switch_state()},
+            "host": {},
             "events_per_second": 100.0,
             "identical_results": True,
             "telemetry": {"drift_free": True},
@@ -164,11 +215,10 @@ class TestBench:
         assert callable(harness.core_bench)
         assert callable(harness.regression_guard)
 
-    def test_bench_writes_json_and_guards(self, tmp_path, capsys, monkeypatch):
+    def test_bench_writes_json_and_guards(self, tmp_path, monkeypatch):
         import json
 
         from repro import cli
-        from repro.sim import fastpath
 
         harness = cli._load_perf_smoke()
         monkeypatch.setattr(harness, "core_bench", self._canned_report)
@@ -178,23 +228,11 @@ class TestBench:
         out = tmp_path / "bench.json"
         baseline = tmp_path / "base.json"
 
-        baseline.write_text(json.dumps(
-            {"events_per_second": 90.0,
-             "host": {"fastpath": fastpath.switch_state()}}))
+        baseline.write_text(json.dumps({"events_per_second": 90.0, "host": {}}))
         assert main(["bench", "--json", str(out), "--check",
                      "--baseline", str(baseline)]) == 0
         assert json.loads(out.read_text())["events_per_second"] == 100.0
 
-        # a baseline taken under different switches is never compared
-        flipped = dict(fastpath.switch_state())
-        flipped["columnar"] = not flipped["columnar"]
-        baseline.write_text(json.dumps(
-            {"events_per_second": 90.0, "host": {"fastpath": flipped}}))
-        assert main(["bench", "--check", "--baseline", str(baseline)]) == 0
-        assert "skipped" in capsys.readouterr().out
-
-        # a real regression against a same-switch baseline fails the check
-        baseline.write_text(json.dumps(
-            {"events_per_second": 1000.0,
-             "host": {"fastpath": fastpath.switch_state()}}))
+        # a real regression against the baseline fails the check
+        baseline.write_text(json.dumps({"events_per_second": 1000.0, "host": {}}))
         assert main(["bench", "--check", "--baseline", str(baseline)]) == 1

@@ -1,17 +1,16 @@
-"""Bit-identity contracts for the batched/pooled/columnar simulation core.
+"""Bit-identity contracts for the simulation core.
 
-The batched core (grouped crossbar delivery, epoch trace pregeneration),
-the object pools (MSHR entries, in-flight records, event tuples), the
-columnar delivery lane (regular delivery groups routed around the
-per-access event/closure machinery) and the vectorized telemetry fold are
-*mechanical* optimizations: every simulated statistic, latency histogram,
-and run-ledger record must be bit-identical to the scalar
-allocation-per-event path.  These tests pin that claim with golden dumps
-of secure + partitioned configurations — a stencil sweep (``fdtd2d``) and
-a pointer chase (``bfs``), together exercising all four protected classes
-(DATA, COUNTER, MAC, TREE) under both streaming and irregular reuse —
-then replay the same points under every combination of the
-:mod:`repro.sim.fastpath` switches.
+Grouped crossbar delivery, memoized trace generation, the object pools
+(MSHR entries, in-flight records, event tuples), the columnar delivery
+lane (regular delivery groups routed around the per-access event/closure
+machinery) and the deferred telemetry fold are *mechanical*
+optimizations: they may never change a simulated statistic, latency
+histogram, or run-ledger record.  These tests pin every one of those
+outputs with golden dumps of secure + partitioned configurations — a
+stencil sweep (``fdtd2d``) and a pointer chase (``bfs``), together
+exercising all four protected classes (DATA, COUNTER, MAC, TREE) under
+both streaming and irregular reuse — so any change to the core that
+moves a number fails here.
 
 Regenerate the goldens (only after an intentional model change) with::
 
@@ -30,7 +29,6 @@ from repro.common.config import TelemetryConfig
 from repro.experiments import designs
 from repro.experiments.runner import Runner, result_to_dict
 from repro.obsv.ledger import canonical_points, read_ledger
-from repro.sim import fastpath
 from repro.sim.gpu import simulate
 from repro.workloads.suite import get_benchmark
 
@@ -42,23 +40,6 @@ WORKLOADS = ["fdtd2d", "bfs"]
 PARTITIONS = 2
 HORIZON = 4_000.0
 WARMUP = 2_000.0
-
-#: every switch combination the identity claim covers (full 2^3 matrix;
-#: columnar requires batching, so the batching-off rows also pin that the
-#: lane disengages cleanly rather than half-running).
-MODES = [
-    ("batched+pooled+columnar", {}),
-    ("no-columnar", {"columnar": False}),
-    ("unpooled", {"pooling": False}),
-    ("unpooled+no-columnar", {"pooling": False, "columnar": False}),
-    ("scalar", {"batching": False}),
-    ("scalar+no-columnar", {"batching": False, "columnar": False}),
-    ("scalar+unpooled", {"batching": False, "pooling": False}),
-    (
-        "scalar+unpooled+no-columnar",
-        {"batching": False, "pooling": False, "columnar": False},
-    ),
-]
 
 
 def _golden_path(workload: str) -> Path:
@@ -85,9 +66,9 @@ def _dump(workload: str) -> dict:
     }
 
 
-def _ledger_records(tmp_path: Path, tag: str, workload: str) -> list:
+def _ledger_records(tmp_path: Path, workload: str) -> list:
     """Canonical ledger records from one Runner-driven run of the point."""
-    ledger_path = tmp_path / f"ledger-{tag}.jsonl"
+    ledger_path = tmp_path / "ledger.jsonl"
     runner = Runner(
         horizon=HORIZON,
         warmup=WARMUP,
@@ -103,15 +84,13 @@ def _golden(workload: str) -> dict:
 
 
 @pytest.mark.parametrize("workload", WORKLOADS)
-@pytest.mark.parametrize("label,overrides", MODES)
-def test_mode_matches_golden(workload: str, label: str, overrides: dict) -> None:
-    """Every switch combination reproduces the committed dumps exactly."""
+def test_matches_golden(workload: str) -> None:
+    """A fresh run reproduces the committed dumps exactly."""
     golden = _golden(workload)
-    with fastpath.scoped(**overrides):
-        dump = _dump(workload)
-    assert dump["result"] == golden["result"], (workload, label)
-    assert dump["stats"] == golden["stats"], (workload, label)
-    assert dump["latency"] == golden["latency"], (workload, label)
+    dump = _dump(workload)
+    assert dump["result"] == golden["result"], workload
+    assert dump["stats"] == golden["stats"], workload
+    assert dump["latency"] == golden["latency"], workload
 
 
 @pytest.mark.parametrize("workload", WORKLOADS)
@@ -127,15 +106,9 @@ def test_golden_exercises_all_protected_classes(workload: str) -> None:
 
 
 @pytest.mark.parametrize("workload", WORKLOADS)
-def test_ledger_records_identical_across_modes(
-    tmp_path: Path, workload: str
-) -> None:
-    """All switch combinations write record-equivalent run ledgers."""
-    golden = _golden(workload)
-    for label, overrides in MODES:
-        with fastpath.scoped(**overrides):
-            records = _ledger_records(tmp_path, label, workload)
-        assert records == golden["ledger"], (workload, label)
+def test_ledger_records_match_golden(tmp_path: Path, workload: str) -> None:
+    """A Runner-driven run writes record-equivalent run ledgers."""
+    assert _ledger_records(tmp_path, workload) == _golden(workload)["ledger"]
 
 
 def test_columnar_contract_attributes_resolve() -> None:
@@ -173,7 +146,7 @@ def _regenerate() -> None:
     for workload in WORKLOADS:
         dump = _dump(workload)
         with tempfile.TemporaryDirectory() as tmp:
-            dump["ledger"] = _ledger_records(Path(tmp), "regen", workload)
+            dump["ledger"] = _ledger_records(Path(tmp), workload)
         path = _golden_path(workload)
         path.write_text(json.dumps(dump, indent=2, sort_keys=True) + "\n")
         print(f"wrote {path}")

@@ -42,7 +42,7 @@ class TestLatency:
     def test_round_trip_adds_both_directions(self):
         crossbar, events, partitions = make_crossbar(2)
         times = []
-        crossbar.send(0.0, 0x40, False, times.append)
+        crossbar.send_batch(0.0, [(0x40, False, times.append)])
         events.run()
         assert len(times) == 1
         # icnt out + L2 miss path + icnt back
@@ -51,7 +51,7 @@ class TestLatency:
 
     def test_request_arrives_after_latency(self):
         crossbar, events, partitions = make_crossbar(2)
-        crossbar.send(0.0, 0x40, True, lambda t: None)
+        crossbar.send_batch(0.0, [(0x40, True, lambda t: None)])
         events.run(until=crossbar.latency - 1)
         assert partitions[0].l2.stats.get("accesses") == 0
         events.run(until=crossbar.latency + 1)
@@ -59,6 +59,6 @@ class TestLatency:
 
     def test_requests_counted(self):
         crossbar, events, _ = make_crossbar(2)
-        for i in range(5):
-            crossbar.send(0.0, i * 256, True, lambda t: None)
+        crossbar.send_batch(0.0, [(0x0, True, lambda t: None)])
+        crossbar.send_batch(0.0, [(i * 256, True, lambda t: None) for i in range(1, 5)])
         assert crossbar.stats.get("requests") == 5

@@ -4,6 +4,7 @@ import dataclasses
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.analysis.bottleneck import (
     dominant_overhead,
@@ -35,6 +36,7 @@ from repro.telemetry.latency import (
     NULL_LATENCY,
     LatencyRecorder,
     LogHistogram,
+    _fold_values,
     conservation_check,
 )
 from repro.telemetry.traffic import class_bytes_from_result
@@ -73,7 +75,34 @@ def secure_bfs_result():
     return _CACHE["bfs"]
 
 
+#: latency samples: any finite value, plus a small pool that makes ties,
+#: negatives, signed zeros and sub-cycle values common.
+_SAMPLES = st.one_of(
+    st.floats(min_value=-1e3, max_value=1e7, allow_nan=False),
+    st.sampled_from([-3.0, -0.0, 0.0, 0.25, 0.999, 1.0, 1.5, 2.0, 7.0, 1024.0]),
+)
+
+
+def _hist_state(hist: LogHistogram) -> str:
+    """Every field, bucket order included; ``repr`` tells -0.0 from 0.0."""
+    return repr((hist.buckets, hist.n, hist.total, hist.min, hist.max))
+
+
 class TestLogHistogram:
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.lists(_SAMPLES, max_size=6), values=st.lists(_SAMPLES, max_size=60))
+    def test_fold_equals_per_value_record(self, seed, values):
+        """The deferred fold is bit-identical to per-value ``record`` on
+        fresh (empty *seed*) and non-empty histograms."""
+        folded, eager = LogHistogram(), LogHistogram()
+        for value in seed:
+            folded.record(value)
+            eager.record(value)
+        _fold_values(folded, values)
+        for value in values:
+            eager.record(value)
+        assert _hist_state(folded) == _hist_state(eager)
+
     def test_bucket_boundaries(self):
         hist = LogHistogram()
         expected_bucket = {0.0: 0, 0.5: 0, 1.0: 1, 2.0: 2, 3.9: 2, 4.0: 3, 1024.0: 11}

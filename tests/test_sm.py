@@ -10,17 +10,23 @@ from repro.workloads.base import THREADS_PER_WARP, WarpOp
 
 
 class FakeMemory:
-    """Records requests; responds after a fixed latency via the event queue."""
+    """Records grouped requests; responds to each after a fixed latency."""
 
     def __init__(self, events, latency=100.0):
         self.events = events
         self.latency = latency
         self.requests: List[tuple] = []
+        self.groups: List[int] = []
 
-    def __call__(self, now, addr, is_write, respond):
-        self.requests.append((now, addr, is_write))
-        done = now + self.latency
-        self.events.schedule_at(done, respond, done)
+    def latency_of(self, addr):
+        return self.latency
+
+    def __call__(self, now, items):
+        self.groups.append(len(items))
+        for addr, is_write, respond in items:
+            self.requests.append((now, addr, is_write))
+            done = now + self.latency_of(addr)
+            self.events.schedule_at(done, respond, done)
 
 
 def make_sm(ops_per_warp, warps=2, latency=100.0, config=None):
@@ -73,15 +79,14 @@ class TestMemoryFlow:
         sm.start()
         events.run()
         assert len(memory.requests) == 4
+        assert memory.groups == [4]  # one grouped delivery per memory op
 
     def test_warp_waits_for_all_sectors(self):
         done_time = []
 
         class SlowSecond(FakeMemory):
-            def __call__(self, now, addr, is_write, respond):
-                latency = 1000.0 if addr == 0x20 else 10.0
-                self.requests.append((now, addr, is_write))
-                self.events.schedule_at(now + latency, respond, now + latency)
+            def latency_of(self, addr):
+                return 1000.0 if addr == 0x20 else 10.0
 
         config = GpuConfig.scaled(num_partitions=1)
         events = EventQueue()

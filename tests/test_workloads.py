@@ -3,6 +3,7 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.common import params
 from repro.workloads import patterns
@@ -142,6 +143,44 @@ class TestStreaming:
         op = take(patterns.streaming(spec, 0, 4), 1)[0]
         assert len(op.mem_addrs) == 8
         assert op.mem_addrs[-1] - op.mem_addrs[0] == 7 * 32
+
+
+class TestStreamIndices:
+    """``_stream_indices`` iterates the closed forms of both layouts."""
+
+    STEPS = 300
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        lines=st.integers(1, 5000),
+        span=st.integers(1, 4),
+        total_warps=st.integers(1, 400),
+        data=st.data(),
+    )
+    def test_strided_closed_form(self, lines, span, total_warps, data):
+        warp = data.draw(st.integers(0, total_warps - 1))
+        spec = spec_for(patterns.streaming, extra={"layout": "strided"})
+        indices = patterns._stream_indices(spec, warp, total_warps, lines, span)
+        assert take(indices, self.STEPS) == [
+            ((i * total_warps + warp) * span) % lines for i in range(self.STEPS)
+        ]
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        lines=st.integers(1, 5000),
+        span=st.integers(1, 4),
+        total_warps=st.integers(0, 400),
+        data=st.data(),
+    )
+    def test_blocked_closed_form(self, lines, span, total_warps, data):
+        warp = data.draw(st.integers(0, max(0, total_warps - 1)))
+        spec = spec_for(patterns.streaming)
+        slice_lines = max(span, lines // max(1, total_warps))
+        base = (warp * slice_lines) % lines
+        indices = patterns._stream_indices(spec, warp, total_warps, lines, span)
+        assert take(indices, self.STEPS) == [
+            (base + (i * span) % slice_lines) % lines for i in range(self.STEPS)
+        ]
 
 
 class TestTiled:
