@@ -2,18 +2,22 @@
 """End-to-end smoke test of the sweep service over real HTTP.
 
 Starts ``repro serve`` as a subprocess on an ephemeral port, submits a
-two-point sweep with POST /sweeps, drains it with one ``repro worker``
-subprocess, polls progress until the sweep is terminal, asserts the
-rendered dashboard HTML is non-empty, scrapes ``GET /metrics``
-(asserting the worker's claim/report counters made it through the store
-and the service's own request histograms are present), and validates
-the distributed trace: ``GET /sweeps/<id>/spans`` must show one trace
-id with at least one ``runner.point`` span per point, and ``repro
-spans --chrome`` must emit a loadable trace_event file (written to
-``$SMOKE_TRACE_OUT`` when set, for CI artifact upload).  Exercises the
-exact process boundaries CI cares about: server and worker are separate
-OS processes meeting only at the SQLite store, and the client talks
-real TCP.
+two-point sweep with POST /sweeps, then starts one ``repro worker``
+subprocess to drain it and follows the sweep with ``GET
+/sweeps/<id>/events`` long-polls until it is terminal — so the worker
+must pick the sweep up, and the long-polls must wake on its reports,
+through commits from another process.  It prints the POST latency and
+the terminal-notify latency (last report to the client seeing the
+terminal status), asserts the rendered dashboard HTML is non-empty,
+scrapes ``GET /metrics`` (asserting the worker's claim/report counters
+made it through the store and the service's own request histograms are
+present), and validates the distributed trace: ``GET
+/sweeps/<id>/spans`` must show one trace id with at least one
+``runner.point`` span per point, and ``repro spans --chrome`` must emit
+a loadable trace_event file (written to ``$SMOKE_TRACE_OUT`` when set,
+for CI artifact upload).  Exercises the exact process boundaries CI
+cares about: server and worker are separate OS processes meeting only
+at the SQLite store, and the client talks real TCP.
 
 Exit 0 on success; any failure raises (non-zero exit) with the server's
 output echoed for diagnosis.
@@ -36,6 +40,10 @@ REPRO = [sys.executable, "-m", "repro"]
 
 #: generous per-phase budget; the sweep itself is two sub-second points.
 TIMEOUT_S = 120.0
+
+#: server-side wait of each /events long-poll; under http_json's 30 s
+#: socket timeout.
+LONG_POLL_S = 10.0
 
 
 def wait_for_url(proc: subprocess.Popen) -> str:
@@ -79,6 +87,7 @@ def main() -> int:
         assert health["status"] == "ok", health
         print(f"healthz ok (version {health['version']})")
 
+        post_t0 = time.perf_counter()
         submitted = http_json(
             base + "/sweeps",
             {
@@ -90,30 +99,48 @@ def main() -> int:
                 "label": "ci-smoke",
             },
         )
+        post_ms = (time.perf_counter() - post_t0) * 1e3
         sweep_id = submitted["sweep_id"]
         assert submitted["total"] == 2, submitted
-        print(f"submitted sweep {sweep_id} ({submitted['total']} points)")
-
-        worker = subprocess.run(
-            [*REPRO, "worker", "--store", str(store)],
-            capture_output=True, text=True, env=ENV, cwd=ROOT,
-            timeout=TIMEOUT_S,
+        print(
+            f"submitted sweep {sweep_id} ({submitted['total']} points) "
+            f"in {post_ms:.1f} ms"
         )
-        print(f"  [worker] {worker.stdout.strip()}")
-        assert worker.returncode == 0, worker.stderr
 
-        deadline = time.monotonic() + TIMEOUT_S
-        while True:
-            progress = http_json(base + f"/sweeps/{sweep_id}")
-            print(
-                f"progress: {progress['counts']['done']}/{progress['total']} "
-                f"done ({progress['status']})"
-            )
-            if progress["status"] in ("done", "failed"):
-                break
-            if time.monotonic() > deadline:
-                raise RuntimeError(f"sweep never finished: {progress}")
-            time.sleep(0.5)
+        worker = subprocess.Popen(
+            [*REPRO, "worker", "--store", str(store)],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            text=True, env=ENV, cwd=ROOT,
+        )
+        try:
+            since = 0.0
+            deadline = time.monotonic() + TIMEOUT_S
+            while True:
+                doc = http_json(
+                    base + f"/sweeps/{sweep_id}/events"
+                    f"?since={since!r}&timeout={LONG_POLL_S}"
+                )
+                seen_ts = time.time()
+                for event in doc["events"]:
+                    since = max(since, event["done_ts"])
+                progress = doc["progress"]
+                print(
+                    f"progress: {progress['counts']['done']}/{progress['total']} "
+                    f"done ({progress['status']})"
+                )
+                if progress["status"] in ("done", "failed"):
+                    break
+                if time.monotonic() > deadline:
+                    raise RuntimeError(f"sweep never finished: {progress}")
+            notify_ms = (seen_ts - progress["last_done_ts"]) * 1e3
+            print(f"terminal status seen {notify_ms:.1f} ms after the last report")
+            worker_out, worker_err = worker.communicate(timeout=TIMEOUT_S)
+        finally:
+            if worker.poll() is None:
+                worker.kill()
+                worker.wait()
+        print(f"  [worker] {worker_out.strip()}")
+        assert worker.returncode == 0, worker_err
         assert progress["status"] == "done", progress["failures"]
 
         results = http_json(base + f"/sweeps/{sweep_id}/results")["results"]

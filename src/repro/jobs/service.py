@@ -38,6 +38,14 @@ looks), and a background **reaper thread** runs :meth:`requeue_expired`
 every ``reaper_interval_s`` (default: half the worker lease) so
 abandoned leases requeue even when nobody is polling.
 
+The serve path waits on changes, not on timers.  A ``/events``
+long-poll blocks in the store's
+:meth:`~repro.jobs.store.SQLiteJobStore.wait_for_change`, so a worker's
+report on another connection reaches the client within milliseconds,
+as a submitted sweep reaches an idle worker.  Responses go out with
+Nagle's algorithm off, so a keep-alive client never waits ~40 ms for
+its own delayed ACK before the body arrives.
+
 The service keeps a live :class:`~repro.obsv.metrics.MetricsRegistry`
 shared with its store, so request counts/latency and service-side store
 ops are always on.  Workers are separate processes — their registries
@@ -92,7 +100,8 @@ _SWEEP_PATH = re.compile(
     r"^/sweeps/([0-9a-f]{12})(/results|/dashboard|/events|/spans)?$"
 )
 
-#: long-poll defaults/caps for GET /sweeps/<id>/events.
+#: long-poll defaults/caps for GET /sweeps/<id>/events.  EVENTS_POLL_S
+#: is only the timeout of each wait for a commit (see ``_events``).
 EVENTS_DEFAULT_TIMEOUT_S = 25.0
 EVENTS_MAX_TIMEOUT_S = 60.0
 EVENTS_POLL_S = 0.2
@@ -331,6 +340,10 @@ class SweepService(ThreadingHTTPServer):
 class _Handler(BaseHTTPRequestHandler):
     server: SweepService
     protocol_version = "HTTP/1.1"
+    # Headers and body leave in two sends (wbufsize = 0).  With Nagle
+    # on, a keep-alive client's delayed ACK of the first holds the
+    # second back about 40 ms.
+    disable_nagle_algorithm = True
 
     # -- plumbing -------------------------------------------------------
 
@@ -360,60 +373,79 @@ class _Handler(BaseHTTPRequestHandler):
         Every request gets a span id; routes that resolve a sweep set
         ``self._trace_id`` so the access-log line joins the sweep's
         trace, and ``POST /sweeps`` sets ``self._persist_span`` so its
-        finished request span is stored as the trace root the worker
-        and runner spans hang beneath.
+        request span is stored as the trace root the worker and runner
+        spans hang beneath.  :meth:`_send` records all of it before the
+        response goes out; the ``finally`` here covers a route that
+        never sends.
         """
-        server = self.server
+        self._method = method
         self._status = 0
         self._trace_id = None
         self._span_id = new_span_id()
         self._persist_span: Optional[str] = None  # sweep id to store under
-        wall_ts = time.time()
-        start = time.perf_counter()
+        self._recorded = False
+        self._wall_ts = time.time()
+        self._start = time.perf_counter()
         try:
             route()
         finally:
-            duration_s = time.perf_counter() - start
-            endpoint = self._endpoint_label()
-            status = self._status or 0
-            server.m_requests.labels(method, endpoint, str(status)).inc()
-            server.m_request_us.labels(endpoint).observe(duration_s * 1e6)
-            if self._persist_span and self._trace_id:
-                try:
-                    server.store.record_span(
-                        self._persist_span,
-                        {
-                            "schema": SPAN_SCHEMA,
-                            "event": "span",
-                            "trace_id": self._trace_id,
-                            "span_id": self._span_id,
-                            "parent_id": None,
-                            "name": "http.submit",
-                            "component": "service",
-                            "ts": wall_ts,
-                            "duration_s": duration_s,
-                            "status": "ok" if status < 400 else "error",
-                            "attrs": {"method": method, "endpoint": endpoint,
-                                      "http.status": status},
-                            "events": [],
-                        },
-                    )
-                except Exception:  # noqa: BLE001 — tracing is passive
-                    pass
-            server.log_access(
-                {
-                    "ts": round(time.time(), 3),
-                    "method": method,
-                    "path": self.path,
-                    "status": status,
-                    "duration_ms": round(duration_s * 1e3, 3),
-                    "trace_id": self._trace_id,
-                    "span_id": self._span_id,
-                }
-            )
+            self._record()
+
+    def _record(self) -> None:
+        """Request metrics, the root span and the access-log line, once.
+
+        Runs before the response bytes are written, so a client that
+        reads ``/metrics``, ``/spans`` or the access log right after a
+        response already finds the record.  The duration therefore
+        covers handling up to the send, not the send itself.
+        """
+        if self._recorded:
+            return
+        self._recorded = True
+        server = self.server
+        method = self._method
+        duration_s = time.perf_counter() - self._start
+        endpoint = self._endpoint_label()
+        status = self._status or 0
+        server.m_requests.labels(method, endpoint, str(status)).inc()
+        server.m_request_us.labels(endpoint).observe(duration_s * 1e6)
+        if self._persist_span and self._trace_id:
+            try:
+                server.store.record_span(
+                    self._persist_span,
+                    {
+                        "schema": SPAN_SCHEMA,
+                        "event": "span",
+                        "trace_id": self._trace_id,
+                        "span_id": self._span_id,
+                        "parent_id": None,
+                        "name": "http.submit",
+                        "component": "service",
+                        "ts": self._wall_ts,
+                        "duration_s": duration_s,
+                        "status": "ok" if status < 400 else "error",
+                        "attrs": {"method": method, "endpoint": endpoint,
+                                  "http.status": status},
+                        "events": [],
+                    },
+                )
+            except Exception:  # noqa: BLE001 — tracing is passive
+                pass
+        server.log_access(
+            {
+                "ts": round(time.time(), 3),
+                "method": method,
+                "path": self.path,
+                "status": status,
+                "duration_ms": round(duration_s * 1e3, 3),
+                "trace_id": self._trace_id,
+                "span_id": self._span_id,
+            }
+        )
 
     def _send(self, code: int, body: bytes, content_type: str) -> None:
         self._status = code
+        self._record()
         self.send_response(code)
         self.send_header("Content-Type", content_type)
         self.send_header("Content-Length", str(len(body)))
@@ -599,6 +631,13 @@ class _Handler(BaseHTTPRequestHandler):
         terminal, or the (capped) timeout lapses — whichever is first.
         Result payloads are deliberately omitted; ``/results`` serves
         those.
+
+        Between queries the handler waits on a change, not on a timer:
+        a worker's report commits on another connection, which ends
+        :meth:`~repro.jobs.store.SQLiteJobStore.wait_for_change` within
+        milliseconds.  ``EVENTS_POLL_S`` is only that wait's timeout,
+        for what commits nothing elsewhere — a lease lapsing (requeued
+        or poisoned inline here) or the service's own reaper commits.
         """
         params = parse_qs(query)
 
@@ -616,6 +655,9 @@ class _Handler(BaseHTTPRequestHandler):
         store = self.server.store
         deadline = time.monotonic() + timeout
         while True:
+            # read before the query: a report landing between the two
+            # still ends the wait below at once.
+            seen = store.data_version()
             store.requeue_expired()
             progress = store.progress(sweep_id)  # KeyError -> 404 upstream
             events = [
@@ -644,7 +686,9 @@ class _Handler(BaseHTTPRequestHandler):
                     },
                 )
                 return
-            time.sleep(EVENTS_POLL_S)
+            store.wait_for_change(
+                seen, min(EVENTS_POLL_S, deadline - time.monotonic())
+            )
 
     def _dashboard(self, sweep_id: str) -> None:
         from repro.obsv.dashboard import build_dashboard

@@ -27,9 +27,17 @@ The worker is also a trace participant: each claimed job carries the
 sweep's traceparent (minted at submit), and the worker hangs a
 ``worker.claim`` span and a ``worker.execute`` span (heartbeats as
 instant events) under it, persisted back through the store — the same
-rendezvous results take.  All backoff sleeps carry a deterministic
-per-worker jitter factor (seeded by the worker id) so a fleet of idle
-workers never polls the store in lockstep.
+rendezvous results take.
+
+An idle worker waits on a change, not on a timer: it blocks in
+:meth:`~repro.jobs.store.SQLiteJobStore.wait_for_change`, so a sweep
+submitted from any other connection — the service, a CLI, another host
+— is claimed within milliseconds, and a ``until="drained"`` worker exits
+as soon as the last point held elsewhere is reported.  The jittered
+idle backoff survives only as that wait's timeout, for what commits
+nothing: a failed point's retry coming due, or a lease lapsing.  Its
+deterministic per-worker jitter factor (seeded by the worker id) keeps a
+fleet of idle workers from re-querying the store in lockstep.
 """
 
 from __future__ import annotations
@@ -57,7 +65,7 @@ from repro.obsv.spans import NULL_SPANS, SpanRecorder, parse_traceparent
 BACKOFF_BASE_S = 0.5
 BACKOFF_CAP_S = 30.0
 
-#: idle claim polling backs off exponentially from ``poll_s`` up to here.
+#: the idle wait's timeout backs off exponentially from ``poll_s`` up to here.
 IDLE_BACKOFF_CAP_S = 5.0
 
 
@@ -96,7 +104,7 @@ class Worker:
     ``until="drained"`` (the default) exits when the store has no
     pending *and* no running jobs — i.e. the whole backlog is terminal,
     including points other live workers are still finishing;
-    ``until="forever"`` keeps polling for new sweeps (service mode).
+    ``until="forever"`` keeps waiting for new sweeps (service mode).
     """
 
     def __init__(
@@ -160,7 +168,7 @@ class Worker:
         )
         self._m_idle_sleeps = metrics.counter(
             "repro_worker_idle_sleeps_total",
-            "Poll sleeps taken with no claimable job",
+            "Idle waits (for a commit or the backoff timeout) with no claimable job",
         )
         self._m_busy = metrics.gauge(
             "repro_worker_busy", "1 while executing a point, else 0"
@@ -329,6 +337,9 @@ class Worker:
         self._persist_snapshot()  # register with the fleet before first claim
         self.log.log("worker.start", worker=self.worker_id, until=until)
         while True:
+            # read before the claim: a commit landing between the two
+            # still ends the wait below at once.
+            seen = self.store.data_version()
             self.store.requeue_expired()
             claim_wall = time.time()
             claim_t0 = time.perf_counter()
@@ -345,16 +356,19 @@ class Worker:
             if until == "drained" and not counts["pending"] and not counts["running"]:
                 break
             self._m_idle_sleeps.inc()
-            time.sleep(self._idle_sleep_s())
+            self.store.wait_for_change(seen, self._idle_sleep_s())
         self._persist_snapshot()
         self.close()
         self.log.log("worker.exit", worker=self.worker_id, executed=executed)
         return executed
 
     def _idle_sleep_s(self) -> float:
-        """Next idle sleep: capped exponential from ``poll_s``, scaled
-        by this worker's deterministic jitter so idle fleets spread out
-        instead of polling in lockstep."""
+        """Next idle wait's timeout: capped exponential from ``poll_s``,
+        scaled by this worker's deterministic jitter so idle fleets
+        spread out instead of polling in lockstep.  A commit from any
+        other connection ends the wait sooner; the timeout is only for
+        what commits nothing — a retry's ``not_before`` coming due, or a
+        lease lapsing."""
         backoff = min(self.idle_cap_s, self.poll_s * (2 ** self._idle_streak))
         self._idle_streak = min(self._idle_streak + 1, 16)
         return backoff * self.jitter

@@ -6,8 +6,11 @@ store must produce a merged sweep bit-identical to the serial
 after a worker dies mid-point and another worker re-claims the lease.
 """
 
+import contextlib
+import http.client
 import json
 import sqlite3
+import statistics
 import threading
 import time
 import urllib.error
@@ -23,6 +26,7 @@ from repro.jobs.store import (
     SQLiteJobStore,
     iter_points,
 )
+from repro.jobs import service as service_module
 from repro.jobs.worker import Worker, build_config, default_worker_id
 from repro.jobs.service import (
     SweepService,
@@ -503,6 +507,186 @@ class TestService:
         assert progress["counts"]["running"] == 0
         store.close()
 
+    def test_keep_alive_posts_do_not_stall(self, service):
+        """Headers and body leave in two sends; with Nagle on, the body
+        waited for the client's delayed ACK (>= 40 ms on Linux)."""
+        host, port = service.server_address[:2]
+        body = json.dumps(
+            {"design": "baseline", "workloads": ["nw"], "partitions": 2,
+             "horizon": HORIZON, "warmup": WARMUP}
+        ).encode()
+        conn = http.client.HTTPConnection(host, port, timeout=30)
+        latencies = []
+        try:
+            for _ in range(10):
+                t0 = time.perf_counter()
+                conn.request("POST", "/sweeps", body=body,
+                             headers={"Content-Type": "application/json"})
+                response = conn.getresponse()
+                response.read()
+                latencies.append(time.perf_counter() - t0)
+                assert response.status == 201
+        finally:
+            conn.close()
+        assert statistics.median(latencies) < 0.020, latencies
+
+
+# ---------------------------------------------------------------------------
+# waking on commits instead of timers
+# ---------------------------------------------------------------------------
+
+
+class _IdleSignal(SQLiteJobStore):
+    """A store that flags when its worker found nothing to claim.
+
+    ``Worker.run`` calls ``counts()`` (whole store) only on its idle
+    path, just before it waits, so a commit made after the flag is set
+    must end that wait.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.idle = threading.Event()
+
+    def counts(self, sweep_id=None):
+        out = super().counts(sweep_id)
+        if sweep_id is None:
+            self.idle.set()
+        return out
+
+
+class TestWakeOnChange:
+    def test_data_version_moves_on_other_connections_commits(self, tmp_path):
+        path = tmp_path / "q.sqlite"
+        with SQLiteJobStore(path) as mine, SQLiteJobStore(path) as other:
+            seen = mine.data_version()
+            submit(mine)  # own writes
+            mine.requeue_expired()
+            assert mine.data_version() == seen
+            assert other.requeue_expired() == (0, 0)  # a no-op UPDATE
+            assert mine.data_version() == seen
+            assert other.claim("w1", lease_s=30) is not None
+            assert mine.data_version() != seen
+
+    def test_wait_for_change_wakes_on_commit_else_times_out(self, tmp_path):
+        path = tmp_path / "q.sqlite"
+        with SQLiteJobStore(path) as store:
+            seen = store.data_version()
+            # the timeout path, with another thread querying the same
+            # store mid-wait: the lock is not held across the sleeps.
+            queried = []
+            timer = threading.Timer(
+                0.05, lambda: queried.append((store.counts(), time.monotonic()))
+            )
+            t0 = time.monotonic()
+            timer.start()
+            assert store.wait_for_change(seen, 1.0) is False
+            waited = time.monotonic() - t0
+            timer.join(timeout=10)
+            assert 1.0 <= waited < 5.0
+            assert queried and queried[0][1] - t0 < 0.9
+
+            committed = []
+
+            def commit():
+                with SQLiteJobStore(path) as other:
+                    submit(other)
+                    committed.append(time.monotonic())
+
+            thread = threading.Thread(target=commit)
+            thread.start()
+            assert store.wait_for_change(seen, 30.0) is True
+            woke = time.monotonic()
+            thread.join(timeout=30)
+            assert not thread.is_alive()
+            assert woke - committed[0] < 1.0
+
+    def test_idle_worker_claims_new_sweep_at_once(self, tmp_path):
+        path = tmp_path / "q.sqlite"
+        store = _IdleSignal(path)
+        # poll_s=5: the first idle timeout is >= 3.75 s after jitter.
+        worker = Worker(store, worker_id="idle", poll_s=5, max_points=1)
+        thread = threading.Thread(target=worker.run, kwargs={"until": "forever"})
+        thread.start()
+        try:
+            assert store.idle.wait(timeout=30)
+            with SQLiteJobStore(path) as other:
+                submitted = time.time()
+                submit(other, points=[("nw", SPECS[0])])
+        finally:
+            thread.join(timeout=60)
+            store.close()
+        assert not thread.is_alive()
+        with contextlib.closing(sqlite3.connect(path)) as conn:
+            (claimed_ts,) = conn.execute("SELECT claimed_ts FROM jobs").fetchone()
+        assert claimed_ts - submitted < 1.0
+        assert worker.executed["simulated"] == 1
+
+    def test_drained_worker_exits_when_held_point_is_reported(self, tmp_path):
+        path = tmp_path / "q.sqlite"
+        with SQLiteJobStore(path) as holder:
+            submit(holder, points=[("nw", SPECS[0])])
+            job = holder.claim("holder", lease_s=60)
+            store = _IdleSignal(path)
+            worker = Worker(store, worker_id="drainer", poll_s=5)
+            exited = []
+            thread = threading.Thread(
+                target=lambda: exited.append((worker.run(), time.monotonic()))
+            )
+            thread.start()
+            try:
+                assert store.idle.wait(timeout=30)
+                reported = time.monotonic()
+                assert holder.report(job.id, "holder", "simulated")
+            finally:
+                thread.join(timeout=60)
+                store.close()
+        assert not thread.is_alive()
+        executed, exited_at = exited[0]
+        assert executed == 0
+        assert exited_at - reported < 1.0
+
+    def test_events_long_poll_wakes_on_report(self, service, tmp_path, monkeypatch):
+        # the timer alone would answer only after 10 s.
+        monkeypatch.setattr(service_module, "EVENTS_POLL_S", 10.0)
+        _, doc = http_json(
+            service.url + "/sweeps",
+            {"design": "baseline", "workloads": ["nw"], "partitions": 2,
+             "horizon": HORIZON, "warmup": WARMUP},
+        )
+        sweep_id = doc["sweep_id"]
+        queried = threading.Event()
+        results = service.store.results
+
+        def results_then_flag(sweep):
+            rows = results(sweep)
+            queried.set()
+            return rows
+
+        monkeypatch.setattr(service.store, "results", results_then_flag)
+        answer = []
+
+        def long_poll():
+            _, payload = http_json(
+                service.url + f"/sweeps/{sweep_id}/events?since=0&timeout=30"
+            )
+            answer.append((payload, time.monotonic()))
+
+        with SQLiteJobStore(tmp_path / "q.sqlite") as holder:
+            job = holder.claim("holder", lease_s=60)
+            thread = threading.Thread(target=long_poll)
+            thread.start()
+            try:
+                assert queried.wait(timeout=30)
+                reported = time.monotonic()
+                assert holder.report(job.id, "holder", "simulated")
+            finally:
+                thread.join(timeout=60)
+        assert not thread.is_alive()
+        payload, answered = answer[0]
+        assert [event["status"] for event in payload["events"]] == ["done"]
+        assert answered - reported < 1.0
+
 
 # ---------------------------------------------------------------------------
 # the metrics registry and fleet observability
@@ -808,17 +992,32 @@ class TestFleetMetrics:
             assert record["duration_ms"] >= 0
             assert record["ts"] > 0
 
+    def test_access_log_written_before_response(self, tmp_path, monkeypatch):
+        """A slow sink delays the response, never the record: a client
+        reading the log right after its response finds its line."""
+        log_path = tmp_path / "access.jsonl"
+        svc = SweepService(tmp_path / "q.sqlite", port=0, access_log=log_path)
+        log = svc.access_log.log
+
+        def slow_log(*args, **kwargs):
+            time.sleep(0.2)
+            log(*args, **kwargs)
+
+        monkeypatch.setattr(svc.access_log, "log", slow_log)
+        svc.run_in_thread()
+        try:
+            http_json(svc.url + "/healthz")
+            text = log_path.read_text() if log_path.exists() else ""
+        finally:
+            svc.shutdown()
+            svc.server_close()
+        assert [json.loads(line)["path"] for line in text.splitlines()] == [
+            "/healthz"
+        ]
+
     def test_live_registry_counts_requests(self, service):
         http_json(service.url + "/healthz")
-        # the handler's finally block runs just after the client reads
-        # the body — poll briefly rather than racing it.
-        deadline = time.monotonic() + 5.0
-        while time.monotonic() < deadline:
-            snap = service.metrics.snapshot()
-            if snapshot_value(snap, "repro_http_requests_total",
-                              {"endpoint": "/healthz", "status": "200"}):
-                break
-            time.sleep(0.01)
+        snap = service.metrics.snapshot()
         assert snapshot_value(snap, "repro_http_requests_total",
                               {"endpoint": "/healthz", "status": "200"}) == 1
 
