@@ -660,17 +660,7 @@ class _Handler(BaseHTTPRequestHandler):
             seen = store.data_version()
             store.requeue_expired()
             progress = store.progress(sweep_id)  # KeyError -> 404 upstream
-            events = [
-                {
-                    key: row[key]
-                    for key in (
-                        "seq", "workload", "spec", "status", "outcome",
-                        "attempts", "worker", "duration_s", "done_ts",
-                    )
-                }
-                for row in store.results(sweep_id)
-                if row["done_ts"] is not None and row["done_ts"] > since
-            ]
+            events = store.events(sweep_id, since)
             if (
                 events
                 or progress["status"] != "running"

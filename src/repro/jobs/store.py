@@ -158,6 +158,8 @@ class JobStore(Protocol):
 
     def results(self, sweep_id: str) -> List[dict]: ...
 
+    def events(self, sweep_id: str, since: float) -> List[dict]: ...
+
     def record_worker(
         self, worker_id: str, snapshot: dict, started_ts: Optional[float] = None
     ) -> None: ...
@@ -806,6 +808,34 @@ class SQLiteJobStore:
                 }
             )
         return out
+
+    def events(self, sweep_id: str, since: float) -> List[dict]:
+        """Rows of one sweep that reached a terminal status after *since*
+        (``done_ts > since``), in seq order, without their result
+        payloads: what ``/events`` returns.  Only the selected columns are
+        read, so a wake costs no payload decoding.  An unknown sweep has
+        no events (callers check it with :meth:`progress`)."""
+        with self._lock:
+            rows = self._conn.execute(
+                "SELECT seq, workload, spec, status, outcome, attempts, worker,"
+                " duration_s, done_ts FROM jobs WHERE sweep_id=? AND done_ts > ?"
+                " ORDER BY seq",
+                (sweep_id, since),
+            ).fetchall()
+        return [
+            {
+                "seq": row["seq"],
+                "workload": row["workload"],
+                "spec": json.loads(row["spec"]),
+                "status": row["status"],
+                "outcome": row["outcome"],
+                "attempts": row["attempts"],
+                "worker": row["worker"],
+                "duration_s": row["duration_s"],
+                "done_ts": row["done_ts"],
+            }
+            for row in rows
+        ]
 
     # -- distributed trace spans ----------------------------------------
 

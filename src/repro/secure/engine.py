@@ -524,8 +524,7 @@ class SecureEngine:
                 pend[1].append(self._hit_latency)
             if self._trace_on:
                 self._trace_instant(
-                    "mdc_hit", "mdc", self._mdc_tid,
-                    {"kind": state.kind_value, "addr": block_addr},
+                    "mdc_hit", "mdc", self._mdc_tid, state.kind_value, block_addr
                 )
             return now + self._hit_latency, _HIT
 
@@ -563,8 +562,7 @@ class SecureEngine:
                     )
                 if self._trace_on:
                     self._trace_instant(
-                        "merge", "mshr", mshr.name,
-                        {"addr": entry.line_addr, "n": entry.merged},
+                        "merge", "mshr", mshr.name, entry.line_addr, entry.merged
                     )
                 return pending.ready_time, _SECONDARY
             # no MSHR (or cap reached): the secondary miss becomes its own
@@ -572,8 +570,7 @@ class SecureEngine:
             counts["duplicate_fetches"] += 1.0
             if self._trace_on:
                 self._trace_instant(
-                    "mdc_dup_fetch", "mdc", self._mdc_tid,
-                    {"kind": state.kind_value, "addr": block_addr},
+                    "mdc_dup_fetch", "mdc", self._mdc_tid, state.kind_value, block_addr
                 )
             ready = self._dram_read(
                 now, params.CACHE_LINE_BYTES, category, block_addr, tclass=tclass
@@ -583,8 +580,7 @@ class SecureEngine:
         counts["primary_misses"] += 1.0
         if self._trace_on:
             self._trace_instant(
-                "mdc_primary_miss", "mdc", self._mdc_tid,
-                {"kind": state.kind_value, "addr": block_addr},
+                "mdc_primary_miss", "mdc", self._mdc_tid, state.kind_value, block_addr
             )
         mshr = state.mshr
         start = now

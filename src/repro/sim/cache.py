@@ -179,9 +179,7 @@ class SectoredCache:
         if line is None:
             counts["misses"] += 1.0
             if self._trace_on:
-                self._trace_instant(
-                    "miss", "cache", self.name, {"addr": addr, "cls": self._cls_label}
-                )
+                self._trace_instant("miss", "cache", self.name, addr, self._cls_label)
             return AccessResult.MISS
         cache_set.move_to_end(tag)
         if not self._sectored:
@@ -195,10 +193,7 @@ class SectoredCache:
             counts["sector_misses"] += 1.0
             if self._trace_on:
                 self._trace_instant(
-                    "sector_miss",
-                    "cache",
-                    self.name,
-                    {"addr": addr, "cls": self._cls_label},
+                    "sector_miss", "cache", self.name, addr, self._cls_label
                 )
             return AccessResult.SECTOR_MISS
         if is_write:
@@ -207,9 +202,7 @@ class SectoredCache:
         if self._lat_on:
             self._lat.record(self._hop, self._cls_label, 0.0, self._hit_latency)
         if self._trace_on:
-            self._trace_instant(
-                "hit", "cache", self.name, {"addr": addr, "cls": self._cls_label}
-            )
+            self._trace_instant("hit", "cache", self.name, addr, self._cls_label)
         return AccessResult.HIT
 
     def contains(self, addr: int) -> bool:
@@ -344,15 +337,11 @@ class InfiniteCache:
             if self._lat_on:
                 self._lat.record(self._hop, self._cls_label, 0.0, self._hit_latency)
             if self._trace_on:
-                self._trace_instant(
-                    "hit", "cache", self.name, {"addr": addr, "cls": self._cls_label}
-                )
+                self._trace_instant("hit", "cache", self.name, addr, self._cls_label)
             return AccessResult.HIT
         self._stat_add("misses")
         if self._trace_on:
-            self._trace_instant(
-                "miss", "cache", self.name, {"addr": addr, "cls": self._cls_label}
-            )
+            self._trace_instant("miss", "cache", self.name, addr, self._cls_label)
         return AccessResult.MISS
 
     def contains(self, addr: int) -> bool:

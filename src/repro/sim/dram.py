@@ -38,6 +38,9 @@ ALL_CATEGORIES = (
     CAT_METADATA_WB,
 )
 
+#: category -> traffic-class label of a transfer that names no class.
+_CATEGORY_LABELS = {category: tclass.name for category, tclass in CLASS_OF_CATEGORY.items()}
+
 
 #: surface the columnar delivery lane (:mod:`repro.sim.columnar`) binds at
 #: lane construction: the FCFS channel state it reserves inline for data
@@ -86,37 +89,29 @@ class DramChannel:
         self._counts = self.stats.raw()
         self._stat_keys = {cat: (f"txn_{cat}", f"bytes_{cat}") for cat in ALL_CATEGORIES}
         self._occupancy_memo: dict[int, float] = {}
-        #: (category, tclass) -> label string; enum ``.name`` is a descriptor
-        #: lookup, too slow to repeat on every traced transfer.
-        self._label_memo: dict = {}
-        #: (category, tclass) -> (queue buffer, service buffer, label).
-        self._lat_chan_memo: dict = {}
+        #: class label -> bound (queue, service) latency sample buffers.
+        self._lat_chans: dict[str, tuple] = {}
         self._trace_on = self._trace.enabled
         self._trace_span = self._trace.span
         self._lat_on = self._lat.enabled
 
-    def _record_latency(
-        self, category: str, tclass, queue: float, service: float, nbytes: int
-    ) -> None:
+    def _record_latency(self, label: str, queue: float, service: float, nbytes: int) -> None:
         """One per-transfer latency-telemetry emission (guarded by _lat_on).
 
         Bytes are accounted here — at the channel — so the per-class totals
         in the latency export conserve exactly against the DRAM byte stats.
-        The recorder's per-class sample buffers are memoized per
-        (category, tclass) so the hot path is two appends.
+        The recorder's per-class sample buffers are bound once per class
+        label, so the hot path is two appends.
         """
-        key = (category, tclass)
-        bound = self._lat_chan_memo.get(key)
+        bound = self._lat_chans.get(label)
         if bound is None:
-            label = self._class_label(category, tclass)
-            queues, services = self._lat.channel(HOP_DRAM, label)
-            bound = self._lat_chan_memo[key] = (queues, services, label)
+            bound = self._lat_chans[label] = self._lat.channel(HOP_DRAM, label)
         bound[0].append(queue)
         bound[1].append(service)
         lat = self._lat
         if queue > 0.0:
             lat.stall(STALL_DRAM_QUEUE, queue)
-        lat.account_bytes(bound[2], nbytes)
+        lat.account_bytes(label, nbytes)
 
     def _occupancy(self, nbytes: int) -> float:
         memo = self._occupancy_memo
@@ -136,17 +131,15 @@ class DramChannel:
         counts["txn_total"] += transactions
         counts["bytes_total"] += nbytes
 
-    def _class_label(self, category: str, tclass: TrafficClass | None) -> str:
-        memo = self._label_memo
-        label = memo.get((category, tclass))
-        if label is None:
-            if tclass is not None:
-                label = tclass.name
-            else:
-                mapped = CLASS_OF_CATEGORY.get(category)
-                label = mapped.name if mapped is not None else "META"
-            memo[(category, tclass)] = label
-        return label
+    @staticmethod
+    def _class_label(category: str, tclass: TrafficClass | None) -> str:
+        """A transfer's traffic-class label.  Nothing here hashes *tclass*:
+        a member's hash is the Python-level ``Enum.__hash__``, and its
+        ``.name`` a descriptor call, both slow on every traced transfer;
+        ``_name_`` is the member's plain attribute holding the same name."""
+        if tclass is not None:
+            return tclass._name_
+        return _CATEGORY_LABELS.get(category, "META")
 
     def read(
         self,
@@ -172,9 +165,8 @@ class DramChannel:
         channel.busy_cycles += occupancy
         self._account(category, nbytes)
         if self._lat_on:
-            self._record_latency(
-                category, tclass, start - now, occupancy + self.access_latency, nbytes
-            )
+            label = self._class_label(category, tclass)
+            self._record_latency(label, start - now, occupancy + self.access_latency, nbytes)
         if self._trace_on:
             self._trace_span(
                 category,
@@ -182,7 +174,9 @@ class DramChannel:
                 self.name,
                 start,
                 occupancy + self.access_latency,
-                {"bytes": nbytes, "cls": self._class_label(category, tclass), "addr": addr},
+                nbytes,
+                self._class_label(category, tclass),
+                addr,
             )
         return start + occupancy + self.access_latency
 
@@ -208,7 +202,8 @@ class DramChannel:
         channel.busy_cycles += occupancy
         self._account(category, nbytes)
         if self._lat_on:
-            self._record_latency(category, tclass, start - now, occupancy, nbytes)
+            label = self._class_label(category, tclass)
+            self._record_latency(label, start - now, occupancy, nbytes)
         if self._trace_on:
             self._trace_span(
                 category,
@@ -216,7 +211,9 @@ class DramChannel:
                 self.name,
                 start,
                 occupancy,
-                {"bytes": nbytes, "cls": self._class_label(category, tclass), "addr": addr},
+                nbytes,
+                self._class_label(category, tclass),
+                addr,
             )
         return start + occupancy
 
@@ -287,7 +284,8 @@ class BankedDramChannel(DramChannel):
         self._account(category, nbytes)
         begin, _done, ready = self._bank_service(now, nbytes, addr)
         if self._lat_on:
-            self._record_latency(category, tclass, begin - now, ready - begin, nbytes)
+            label = self._class_label(category, tclass)
+            self._record_latency(label, begin - now, ready - begin, nbytes)
         if self._trace_on:
             self._trace_span(
                 category,
@@ -295,7 +293,9 @@ class BankedDramChannel(DramChannel):
                 self.name,
                 now,
                 ready - now,
-                {"bytes": nbytes, "cls": self._class_label(category, tclass), "addr": addr},
+                nbytes,
+                self._class_label(category, tclass),
+                addr,
             )
         return ready
 
@@ -310,7 +310,8 @@ class BankedDramChannel(DramChannel):
         self._account(category, nbytes)
         begin, done, _ready = self._bank_service(now, nbytes, addr)
         if self._lat_on:
-            self._record_latency(category, tclass, begin - now, done - begin, nbytes)
+            label = self._class_label(category, tclass)
+            self._record_latency(label, begin - now, done - begin, nbytes)
         if self._trace_on:
             self._trace_span(
                 category,
@@ -318,7 +319,9 @@ class BankedDramChannel(DramChannel):
                 self.name,
                 now,
                 done - now,
-                {"bytes": nbytes, "cls": self._class_label(category, tclass), "addr": addr},
+                nbytes,
+                self._class_label(category, tclass),
+                addr,
             )
         return done
 

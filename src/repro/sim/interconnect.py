@@ -54,6 +54,8 @@ class Crossbar:
         self._counts = stats.raw()
         self._lat = latency if latency is not None else NULL_LATENCY
         self._lat_on = self._lat.enabled
+        #: bound crossbar-hop sample buffers: one traversal pair per request.
+        self._icnt_queue, self._icnt_service = self._lat.channel(HOP_ICNT, "DATA")
         #: columnar delivery lane (None when the model configuration rules
         #: it out); grouped deliveries classified as regular bypass the
         #: per-access closure machinery through it.
@@ -76,10 +78,9 @@ class Crossbar:
         self._counts["requests"] += float(len(items))
         if self._lat_on:
             # fixed traversal cost, both directions, paid by every request.
-            record = self._lat.record
-            traversal = 2.0 * self.latency
-            for _ in items:
-                record(HOP_ICNT, "DATA", 0.0, traversal)
+            n = len(items)
+            self._icnt_queue.extend([0.0] * n)
+            self._icnt_service.extend([2.0 * self.latency] * n)
         self.events.schedule(self.latency, self._deliver_batch, items)
 
     def _deliver_batch(self, items: list) -> None:

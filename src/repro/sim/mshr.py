@@ -70,6 +70,7 @@ class MshrTable:
         self.merge_cap = merge_cap
         self.name = name
         self._trace = tracer if tracer is not None else NULL_TRACER
+        self._trace_on = self._trace.enabled
         self._lat = latency if latency is not None else NULL_LATENCY
         self._lat_on = self._lat.enabled
         self._cls = cls
@@ -120,10 +121,8 @@ class MshrTable:
             entry.waiters.append(waiter)
         if self._lat_on and now is not None:
             self._lat.record(HOP_MSHR, self._cls, entry.ready_time - now, 0.0)
-        if self._trace.enabled:
-            self._trace.instant(
-                "merge", "mshr", self.name, {"addr": entry.line_addr, "n": entry.merged}
-            )
+        if self._trace_on:
+            self._trace.instant("merge", "mshr", self.name, entry.line_addr, entry.merged)
         return entry.ready_time
 
     def allocate(self, line_addr: int, ready_time: float, waiter: Any = None) -> MshrEntry:

@@ -216,12 +216,7 @@ class MemoryPartition:
         if trace_on:
             emit = self._trace_instant
             tid = self._tid
-            emit(
-                "req_issue",
-                "partition",
-                tid,
-                {"addr": addr, "w": int(is_write)},
-            )
+            emit("req_issue", "partition", tid, addr, int(is_write))
         if lat_on or trace_on:
             # one completion wrapper covers both telemetry channels;
             # emission order on completion: the e2e latency record, then the
@@ -243,7 +238,7 @@ class MemoryPartition:
                     _q.append(0.0)
                     _s.append(done - _now)
                 if trace_on:
-                    emit("req_done", "partition", tid, {"addr": _addr, "w": _w})
+                    emit("req_done", "partition", tid, _addr, _w)
                 _inner(done)
 
         # back-pressure admission gate, inlined (== _admission_time).
@@ -314,9 +309,7 @@ class MemoryPartition:
             ready = self.engine.read_sector(now, sector, self._fetch_bytes)
             self._stat_add("l2_duplicate_fetches")
             if self._trace_on:
-                self._trace_instant(
-                    "dup_fetch", "mshr", self.l2_mshr.name, {"addr": sector}
-                )
+                self._trace_instant("dup_fetch", "mshr", self.l2_mshr.name, sector)
             self.events.schedule_at(ready, respond, ready)
             return
 
@@ -341,10 +334,7 @@ class MemoryPartition:
         entry = self.l2_mshr.release(sector)
         if self._trace_on:
             self._trace_instant(
-                "fill",
-                "mshr",
-                self.l2_mshr.name,
-                {"addr": sector, "waiters": len(entry.waiters)},
+                "fill", "mshr", self.l2_mshr.name, sector, len(entry.waiters)
             )
         evictions = self.l2.fill(sector)
         self._write_back(now, evictions)

@@ -3,8 +3,9 @@
 Three cooperating pieces (see the paper's traffic-breakdown analysis,
 Section V, which this subsystem turns into queryable artifacts):
 
-* :class:`~repro.telemetry.tracer.Tracer` — typed simulation events in a
-  bounded ring buffer, exported as Chrome ``trace_event`` JSON and JSONL;
+* :class:`~repro.telemetry.tracer.Tracer` — typed simulation events as
+  flat records in a bounded ring buffer, rendered as Chrome
+  ``trace_event`` JSON and JSONL;
 * :class:`~repro.telemetry.sampler.Sampler` — per-epoch gauge snapshots
   (MSHR occupancy, DRAM backlog, crypto-engine busy cycles, per-class
   bandwidth) in a columnar time-series;
@@ -29,7 +30,7 @@ from repro.telemetry.latency import (
 )
 from repro.telemetry.sampler import Sampler
 from repro.telemetry.session import ARTIFACT_NAMES, TelemetrySession, write_artifacts
-from repro.telemetry.tracer import NULL_TRACER, NullTracer, Tracer, chrome_trace
+from repro.telemetry.tracer import NULL_TRACER, NullTracer, Tracer, write_trace
 from repro.telemetry.traffic import (
     CLASS_OF_CATEGORY,
     CLASS_OF_KIND,
@@ -55,10 +56,10 @@ __all__ = [
     "TelemetrySession",
     "Tracer",
     "TrafficClass",
-    "chrome_trace",
     "class_bytes_from_result",
     "class_shares",
     "conservation_check",
     "live_class_bytes",
     "write_artifacts",
+    "write_trace",
 ]

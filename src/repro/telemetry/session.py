@@ -2,10 +2,11 @@
 
 A :class:`TelemetrySession` is created by the GPU top level when
 ``GpuConfig.telemetry.enabled`` is set.  After the run, :meth:`export`
-condenses everything into one deterministic, JSON-able dict (safe to move
+condenses everything into one deterministic, picklable dict (safe to move
 across process boundaries — the parallel runner's workers return it with
-their result payloads), and :func:`write_artifacts` lays the dict out on
-disk:
+their result payloads).  Its ``events`` are the tracer's flat records
+(see :mod:`repro.telemetry.tracer`), kept in that compact form until
+:func:`write_artifacts` renders them; it lays the dict out on disk:
 
 * ``trace.json``   — Chrome ``trace_event`` file (chrome://tracing, Perfetto)
 * ``trace.jsonl``  — the typed event stream, one JSON object per line
@@ -23,7 +24,7 @@ from typing import Dict, Optional
 
 from repro.common.config import TelemetryConfig
 from repro.telemetry.latency import NULL_LATENCY, LatencyRecorder, conservation_check
-from repro.telemetry.tracer import NULL_TRACER, Tracer, chrome_trace
+from repro.telemetry.tracer import NULL_TRACER, Tracer, write_trace
 from repro.telemetry.sampler import Sampler
 
 #: artifact file names, in the order write_artifacts produces them.
@@ -56,12 +57,13 @@ class TelemetrySession:
         self.latency.clear()
 
     def export(self, meta: Optional[dict] = None) -> dict:
-        """Everything recorded, as one plain JSON-able dict."""
+        """Everything recorded, as one plain dict; ``events`` holds the
+        trace records, oldest first."""
         tracer = self.tracer
         recording = isinstance(tracer, Tracer)
         return {
             "meta": dict(meta or {}),
-            "events": tracer.events_as_dicts() if recording else [],
+            "events": tracer.records() if recording else [],
             "events_dropped": tracer.dropped if recording else 0,
             "ring_capacity": self.config.ring_capacity,
             "samples": {name: list(col) for name, col in self.sampler.columns.items()},
@@ -83,12 +85,8 @@ def write_artifacts(directory: str | Path, export: dict) -> Dict[str, Path]:
     meta = export.get("meta", {})
 
     paths = {name: directory / name for name in ARTIFACT_NAMES}
-    paths["trace.json"].write_text(
-        json.dumps(chrome_trace(events, meta=meta), sort_keys=True) + "\n"
-    )
-    paths["trace.jsonl"].write_text(
-        "\n".join(json.dumps(e, sort_keys=True) for e in events) + "\n"
-    )
+    with open(paths["trace.json"], "w") as chrome, open(paths["trace.jsonl"], "w") as jsonl:
+        write_trace(events, jsonl, chrome, meta=meta)
     paths["samples.json"].write_text(
         json.dumps({"columns": export.get("samples", {})}, sort_keys=True) + "\n"
     )

@@ -656,14 +656,14 @@ class TestWakeOnChange:
         )
         sweep_id = doc["sweep_id"]
         queried = threading.Event()
-        results = service.store.results
+        events = service.store.events
 
-        def results_then_flag(sweep):
-            rows = results(sweep)
+        def events_then_flag(sweep, since):
+            rows = events(sweep, since)
             queried.set()
             return rows
 
-        monkeypatch.setattr(service.store, "results", results_then_flag)
+        monkeypatch.setattr(service.store, "events", events_then_flag)
         answer = []
 
         def long_poll():
@@ -970,6 +970,29 @@ class TestFleetMetrics:
             http_json(service.url + "/sweeps/" + "0" * 12 +
                       "/events?timeout=0")
         assert excinfo.value.code == 404
+
+    def test_events_never_decode_results(self, service, tmp_path):
+        """/events reads only the event columns: a row whose result
+        payload is not JSON still reports, while /results fails on it."""
+        _, doc = http_json(
+            service.url + "/sweeps",
+            {"design": "baseline", "workloads": ["nw"], "partitions": 2,
+             "horizon": HORIZON, "warmup": WARMUP},
+        )
+        sweep_id = doc["sweep_id"]
+        store = SQLiteJobStore(tmp_path / "q.sqlite")
+        Worker(store, worker_id="w1", poll_s=0.01).run()
+        store.close()
+        with contextlib.closing(sqlite3.connect(tmp_path / "q.sqlite")) as conn, conn:
+            conn.execute("UPDATE jobs SET result = '{torn' WHERE sweep_id = ?", (sweep_id,))
+        status, payload = http_json(
+            service.url + f"/sweeps/{sweep_id}/events?since=0&timeout=0"
+        )
+        assert status == 200
+        assert [event["status"] for event in payload["events"]] == ["done"]
+        with pytest.raises(urllib.error.HTTPError) as excinfo:
+            http_json(service.url + f"/sweeps/{sweep_id}/results")
+        assert excinfo.value.code == 500
 
     def test_access_log(self, tmp_path):
         log_path = tmp_path / "logs" / "access.jsonl"

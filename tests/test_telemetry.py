@@ -1,6 +1,8 @@
 """Telemetry subsystem: tracer, sampler, traffic classes, persistence."""
 
 import dataclasses
+import hashlib
+import io
 import json
 
 import pytest
@@ -11,17 +13,17 @@ from repro.experiments import designs
 from repro.experiments.parallel import ParallelRunner
 from repro.experiments.runner import Runner, config_key, result_to_dict
 from repro.sim.event import EventQueue
-from repro.sim.gpu import simulate
+from repro.sim.gpu import Gpu, simulate
 from repro.telemetry import (
     ARTIFACT_NAMES,
     NULL_TRACER,
     Sampler,
     Tracer,
     TrafficClass,
-    chrome_trace,
     class_bytes_from_result,
     class_shares,
     write_artifacts,
+    write_trace,
 )
 from repro.workloads.suite import get_benchmark
 
@@ -53,6 +55,13 @@ class _Clock:
         self.now = 0.0
 
 
+def render(records, meta=None):
+    """The (trace.jsonl, trace.json) texts write_trace renders."""
+    jsonl, chrome = io.StringIO(), io.StringIO()
+    write_trace(records, jsonl, chrome, meta=meta)
+    return jsonl.getvalue(), chrome.getvalue()
+
+
 class TestTracer:
     def test_null_tracer_is_disabled_and_inert(self):
         assert NULL_TRACER.enabled is False
@@ -65,15 +74,17 @@ class TestTracer:
             tracer.instant(f"e{i}", "test", "t0")
         assert len(tracer) == 4
         assert tracer.dropped == 6
-        names = [e["name"] for e in tracer.events_as_dicts()]
+        names = [record[4] for record in tracer.records()]
         assert names == ["e6", "e7", "e8", "e9"]  # newest window survives
 
     def test_instant_stamps_clock(self):
         clock = _Clock()
         tracer = Tracer(clock)
         clock.now = 42.5
-        tracer.instant("hit", "cache", "l2", {"addr": 128})
-        (event,) = tracer.events_as_dicts()
+        tracer.instant("hit", "cache", "l2", 128)
+        (record,) = tracer.records()
+        assert record == ("i", 42.5, 0.0, "l2", "hit", "cache", 128)
+        event = json.loads(render([record])[0])
         assert event["ph"] == "i"
         assert event["ts"] == 42.5
         assert event["args"] == {"addr": 128}
@@ -81,13 +92,14 @@ class TestTracer:
     def test_chrome_trace_shape(self):
         tracer = Tracer(_Clock())
         tracer.instant("miss", "cache", "p0.l2")
-        tracer.span("data_read", "dram", "p0.dram", 10.0, 5.0, {"bytes": 32})
-        doc = chrome_trace(tracer.events_as_dicts(), meta={"workload": "nw"})
+        tracer.span("data_read", "dram", "p0.dram", 10.0, 5.0, 32)
+        doc = json.loads(render(tracer.records(), meta={"workload": "nw"})[1])
         events = doc["traceEvents"]
         metas = [e for e in events if e["ph"] == "M"]
         assert {m["args"]["name"] for m in metas} == {"p0.l2", "p0.dram"}
         spans = [e for e in events if e["ph"] == "X"]
         assert spans[0]["dur"] == 5.0
+        assert spans[0]["args"] == {"bytes": 32}
         assert all(isinstance(e["tid"], int) for e in events)
         assert doc["otherData"]["workload"] == "nw"
 
@@ -95,8 +107,50 @@ class TestTracer:
         tracer = Tracer(_Clock())
         tracer.instant("a", "c", "t")
         tracer.instant("b", "c", "t")
-        lines = tracer.to_jsonl().splitlines()
+        lines = render(tracer.records())[0].splitlines()
         assert [json.loads(line)["name"] for line in lines] == ["a", "b"]
+
+    def test_render_matches_json_dumps(self):
+        """Each rendered event is byte-for-byte what json.dumps writes for
+        the event dict: sorted keys, rounded ts/dur, named args."""
+        records = [
+            ("i", 10.00049, 0.0, "p0", "req_issue", "partition", 7, 1),
+            ("X", 11, 2.34567, "p0.dram", "ctr", "dram", 64, "COUNTER", 4096),
+            ("i", 11.0, 0.0, "p0.mdc", "mdc_hit", "mdc", "ctr", 4096),
+            ("i", 12.5, 0.0, "t\"{x}", "odd", "c"),
+        ]
+        jsonl, chrome = render(records, meta={"workload": "nw"})
+        dicts = [
+            {"ph": "i", "ts": 10.0, "tid": "p0", "name": "req_issue", "cat": "partition",
+             "args": {"addr": 7, "w": 1}},
+            # ts 11 comes first, so the equal 11.0 below shares its text
+            {"ph": "X", "ts": 11, "tid": "p0.dram", "name": "ctr", "cat": "dram",
+             "dur": 2.346, "args": {"bytes": 64, "cls": "COUNTER", "addr": 4096}},
+            {"ph": "i", "ts": 11, "tid": "p0.mdc", "name": "mdc_hit", "cat": "mdc",
+             "args": {"kind": "ctr", "addr": 4096}},
+            {"ph": "i", "ts": 12.5, "tid": "t\"{x}", "name": "odd", "cat": "c"},
+        ]
+        assert jsonl == "\n".join(json.dumps(d, sort_keys=True) for d in dicts) + "\n"
+        tids = {"p0": 0, "p0.dram": 1, "p0.mdc": 2, "t\"{x}": 3}
+        doc = {
+            "traceEvents": [
+                {"ph": "M", "pid": 0, "tid": index, "name": "thread_name",
+                 "args": {"name": tid}}
+                for tid, index in tids.items()
+            ] + [dict(d, pid=0, tid=tids[d["tid"]]) for d in dicts],
+            "displayTimeUnit": "ms",
+            "otherData": {"workload": "nw", "clock": "core cycles (1 cycle rendered as 1 us)"},
+        }
+        assert chrome == json.dumps(doc, sort_keys=True) + "\n"
+
+    def test_render_empty_ring(self):
+        jsonl, chrome = render([])
+        assert jsonl == "\n"
+        assert json.loads(chrome)["traceEvents"] == []
+
+    def test_render_rejects_unnamed_values(self):
+        with pytest.raises(ValueError, match="names 0 arguments"):
+            render([("i", 0.0, 0.0, "t", "unknown_event", "c", 1)])
 
 
 class TestSampler:
@@ -165,6 +219,20 @@ class TestZeroDrift:
         assert config_key(secure_config()) == config_key(secure_config(TELEMETRY))
         assert config_key(secure_config()) != config_key(baseline_config())
 
+    def test_trace_guards_follow_the_tracer(self):
+        """The warmup boundary opens the trace emission guards only when
+        the session records trace events."""
+        for trace_events in (False, True):
+            telemetry = dataclasses.replace(TELEMETRY, trace_events=trace_events)
+            gpu = Gpu(secure_config(telemetry), get_benchmark("bfs"))
+            gpu.run(HORIZON, warmup=WARMUP)
+            guards = [
+                component._trace_on
+                for p in gpu.partitions
+                for component in (p, p.l2, p.l2_mshr, p.dram, p.engine)
+            ]
+            assert guards == [trace_events] * len(guards)
+
     def test_export_is_deterministic(self):
         workload = get_benchmark("bfs")
         first = simulate(
@@ -223,7 +291,29 @@ class TestTrafficClasses:
             assert all(b >= a for a, b in zip(post, post[1:]))
 
 
+#: sha256 of each artifact for bfs on ctr_mac_bmt at TELEMETRY, HORIZON
+#: and WARMUP, as the exporter that built one dict per event wrote them.
+PINNED_ARTIFACTS = {
+    "trace.json": "5e8e78497301286bbd5a55e72f22bee79af31a453918b6aa99a9f0d69df77566",
+    "trace.jsonl": "4855c57182afc6fbdecb2dde72348e76730d9af17724a4c956a939c3162cb704",
+    "samples.json": "a23b1a704a91b5db39340f1d9785e0e302e9e235a04ac85cc7fca169badcc480",
+    "latency.json": "167e485f97aad68c74e43e2f4e6ab6c91e7bc10b332cfef828d45aad758551eb",
+    "summary.json": "49d0498c51469e91a59478aae263904497b3f271014310077ee0789bcc4a0398",
+}
+
+
 class TestArtifacts:
+    def test_artifact_bytes_pinned(self, tmp_path):
+        result = simulate(
+            secure_config(TELEMETRY), get_benchmark("bfs"), horizon=HORIZON, warmup=WARMUP
+        )
+        paths = write_artifacts(tmp_path / "point", result.telemetry)
+        digests = {
+            name: hashlib.sha256(paths[name].read_bytes()).hexdigest()
+            for name in ARTIFACT_NAMES
+        }
+        assert digests == PINNED_ARTIFACTS
+
     def test_write_artifacts_layout(self, tmp_path):
         result = simulate(
             secure_config(TELEMETRY),
