@@ -313,6 +313,12 @@ class GpuConfig:
     def __post_init__(self) -> None:
         if self.num_sms < 1 or self.num_partitions < 1:
             raise ValueError("need at least one SM and one partition")
+        if self.num_partitions & (self.num_partitions - 1):
+            # each partition protects an equal, line-aligned slice of the
+            # protected range, which only a power-of-two split gives.
+            raise ValueError(
+                f"num_partitions must be a power of two, got {self.num_partitions}"
+            )
         if self.partition_interleave_bytes % params.CACHE_LINE_BYTES:
             raise ValueError("interleave must be a multiple of the line size")
 

@@ -80,7 +80,8 @@ from typing import List, Optional, Tuple
 from urllib.parse import parse_qs
 
 import repro
-from repro.experiments.designs import DESIGNS
+from repro.common import params
+from repro.experiments.designs import DESIGNS, build_named_gpu
 from repro.experiments.runner import result_from_dict
 from repro.jobs.store import SQLiteJobStore, iter_points
 from repro.obsv.logging import DEFAULT_MAX_BYTES, NULL_LOG, StructuredLogger
@@ -217,17 +218,24 @@ def validate_submission(body: dict) -> Tuple[List[Tuple[str, dict]], dict]:
         raise ValueError(
             f"unknown workload(s) {bad}; known: {', '.join(BENCHMARK_ORDER)}"
         )
+    partitions = body.get("partitions", 4)
+    if isinstance(partitions, bool) or not isinstance(partitions, int):
+        raise ValueError(f"'partitions' must be an integer, got {partitions!r}")
+    if partitions > params.PAPER_NUM_PARTITIONS:
+        raise ValueError(
+            f"'partitions' must be at most {params.PAPER_NUM_PARTITIONS}, got {partitions}"
+        )
     try:
-        partitions = int(body.get("partitions", 4))
         horizon = float(body.get("horizon", 10_000))
         warmup = float(body.get("warmup", 30_000))
         max_attempts = int(body.get("max_attempts", 3))
     except (TypeError, ValueError):
-        raise ValueError(
-            "'partitions'/'horizon'/'warmup'/'max_attempts' must be numbers"
-        ) from None
+        raise ValueError("'horizon'/'warmup'/'max_attempts' must be numbers") from None
     if partitions < 1 or horizon <= 0 or warmup < 0 or max_attempts < 1:
         raise ValueError("scale parameters out of range")
+    # the config's own checks (a power-of-two partition count): a point
+    # whose model cannot be built is refused here, not failed in a worker.
+    build_named_gpu(designs[0], partitions)
     points = iter_points(
         workloads, [{"design": d, "partitions": partitions} for d in designs]
     )

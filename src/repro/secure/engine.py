@@ -57,6 +57,8 @@ from repro.telemetry.latency import (
 from repro.telemetry.tracer import NULL_TRACER
 from repro.telemetry.traffic import CLASS_OF_KIND, TrafficClass
 
+_DATA = TrafficClass.DATA
+
 _KIND_TO_CATEGORY = {
     MetadataKind.COUNTER: CAT_COUNTER,
     MetadataKind.MAC: CAT_MAC,
@@ -117,6 +119,12 @@ class _KindState:
         "tclass",
         "cls_label",
         "mdc_pend",
+        "cache_counts",
+        "single_set",
+        "sets",
+        "num_sets",
+        "line_shift",
+        "mshr_entries",
     )
 
     def __init__(self, kind: MetadataKind, stats: StatGroup) -> None:
@@ -135,42 +143,26 @@ class _KindState:
         #: bound (queue, service) sample buffers for the mdc hop, filled in
         #: by the engine once its latency recorder is known.
         self.mdc_pend = None
+        #: the cache's probe geometry (SectoredCache only) and the MSHR's
+        #: entry map, bound by :meth:`bind`.
+        self.cache_counts = None
+        self.single_set = None
+        self.sets = None
+        self.num_sets = 1
+        self.line_shift = 0
+        self.mshr_entries = None
 
-
-#: surface the columnar delivery lane (:mod:`repro.sim.columnar`) binds at
-#: lane construction and mirrors inline: the mode/protection flags that
-#: let it precompute the read/write shape, the per-kind state bundles it
-#: peeks for metadata hits and secondary merges, and the per-access entry
-#: points it delegates rare cases (primary misses, tree walks, counter
-#: increments) to before touching any state.  Renames here require a
-#: matching lane update; the contract test in
-#: ``tests/test_fastpath_identity.py`` pins the names.
-COLUMNAR_CONTRACT = (
-    "trace_hook",
-    "layout",
-    "aes",
-    "mac_unit",
-    "_counts",
-    "_enabled",
-    "_counter_mode",
-    "_direct_mode",
-    "_uses_macs",
-    "_uses_tree",
-    "_walk_mt",
-    "_speculative",
-    "_lazy",
-    "_all_protected",
-    "_protected_window",
-    "_perfect",
-    "_infinite",
-    "_hit_latency",
-    "_ctr_state",
-    "_mac_state",
-    "_metadata_cache_access",
-    "_tree_walk",
-    "_note_counter_increment",
-    "_eager_parent_update",
-)
+    def bind(self, cache, mshr: Optional[MshrTable]) -> None:
+        self.cache = cache
+        self.mshr = mshr
+        if mshr is not None:
+            self.mshr_entries = mshr._entries
+        if type(cache) is SectoredCache:
+            self.cache_counts = cache._counts
+            self.single_set = cache._single_set
+            self.sets = cache._sets
+            self.num_sets = cache._num_sets
+            self.line_shift = cache._line_shift
 
 
 class SecureEngine:
@@ -256,6 +248,8 @@ class SecureEngine:
         self._crypto_pend = self._lat.channel(HOP_CRYPTO, "DATA")
         self._dram_read = dram.read
         self._dram_write = dram.write
+        self._aes_process = self.aes.process
+        self._mac_process = self.mac_unit.process
         #: free-list of _Inflight records (slot reuse for per-miss churn).
         self._inflight_pool: List[_Inflight] = []
         #: (kind, block_addr) -> parent tree-node address (or None); pure
@@ -269,8 +263,7 @@ class SecureEngine:
         }
         self._inflight: Dict[MetadataKind, Dict[int, _Inflight]] = {}
         for kind, state in self._kind_state.items():
-            state.cache = self._caches.get(kind)
-            state.mshr = self._mshrs.get(kind)
+            state.bind(self._caches.get(kind), self._mshrs.get(kind))
             state.merge_cap = self._merge_caps[kind]
             state.mdc_pend = self._lat.channel(HOP_MDC, state.cls_label)
             self._inflight[kind] = state.inflight
@@ -362,32 +355,32 @@ class SecureEngine:
         plaintext is available to fill the L2.
         """
         self._counts["reads"] += 1.0
+        data_ready = self._dram_read(now, nbytes, CAT_DATA_READ, addr, _DATA)
         if not self._enabled or not (self._all_protected or self._is_protected(addr)):
-            return self._dram_read(now, nbytes, CAT_DATA_READ, addr, tclass=TrafficClass.DATA)
+            return data_ready
 
-        data_ready = self._dram_read(now, nbytes, CAT_DATA_READ, addr, tclass=TrafficClass.DATA)
         verify_done = now
         if self._counter_mode:
             # OTP generation starts once the counter is on chip and overlaps
             # the data fetch — counter-mode's whole point.
-            ctr_ready, walk_done = self._counter_access(now, addr, is_write=False)
-            otp_ready = self.aes.process(now, nbytes, available=ctr_ready)
+            ctr_ready, walk_done = self._counter_access(now, addr, False)
+            otp_ready = self._aes_process(now, nbytes, ctr_ready)
             ready = (data_ready if data_ready >= otp_ready else otp_ready) + 1  # the XOR
             if walk_done > verify_done:
                 verify_done = walk_done
         elif self._direct_mode:
             # decryption can only start after the ciphertext arrives: the
             # AES latency lands on the load critical path.
-            ready = self.aes.process(now, nbytes, available=data_ready)
+            ready = self._aes_process(now, nbytes, data_ready)
         else:
             ready = data_ready
 
         if self._uses_macs:
-            mac_ready, walk_done = self._mac_access(now, addr, is_write=False)
-            check_done = self.mac_unit.process(
+            mac_ready, walk_done = self._mac_access(now, addr, False)
+            check_done = self._mac_process(
                 now,
-                n_ops=nbytes // params.SECTOR_BYTES or 1,
-                available=mac_ready if mac_ready >= data_ready else data_ready,
+                nbytes // params.SECTOR_BYTES or 1,
+                mac_ready if mac_ready >= data_ready else data_ready,
             )
             if walk_done > verify_done:
                 verify_done = walk_done
@@ -412,20 +405,18 @@ class SecureEngine:
     def write_sector(self, now: float, addr: int, nbytes: int = params.SECTOR_BYTES) -> float:
         """Write back *nbytes* of dirty data through the secure pipeline."""
         self._counts["writes"] += 1.0
-        if not self._enabled or not (self._all_protected or self._is_protected(addr)):
-            return self._dram_write(now, nbytes, CAT_DATA_WRITE, addr, tclass=TrafficClass.DATA)
-
-        if self._counter_mode:
-            self._counter_access(now, addr, is_write=True)
-            self.aes.process(now, nbytes)
-        elif self._direct_mode:
-            self.aes.process(now, nbytes)
-        if self._uses_macs:
-            self._mac_access(now, addr, is_write=True)
-            self.mac_unit.process(now, n_ops=nbytes // params.SECTOR_BYTES or 1)
+        if self._enabled and (self._all_protected or self._is_protected(addr)):
+            if self._counter_mode:
+                self._counter_access(now, addr, True)
+                self._aes_process(now, nbytes)
+            elif self._direct_mode:
+                self._aes_process(now, nbytes)
+            if self._uses_macs:
+                self._mac_access(now, addr, True)
+                self._mac_process(now, nbytes // params.SECTOR_BYTES or 1)
         # the write sits in the controller's write queue until encrypted;
         # channel occupancy is charged now (what later accesses observe).
-        return self._dram_write(now, nbytes, CAT_DATA_WRITE, addr, tclass=TrafficClass.DATA)
+        return self._dram_write(now, nbytes, CAT_DATA_WRITE, addr, _DATA)
 
     def finalize(self) -> None:
         """Flush dirty metadata (accounting only, at the end of a run)."""
@@ -515,8 +506,29 @@ class SecureEngine:
             counts["hits"] += 1.0
             return now + self._hit_latency, _HIT
 
-        result = state.cache.lookup(block_addr, is_write=is_write)
-        if result is AccessResult.HIT:
+        if self._infinite:
+            hit = state.cache.lookup(block_addr, is_write) is AccessResult.HIT
+        else:
+            # SectoredCache.lookup, inlined.  Metadata caches are
+            # non-sectored with power-of-two lines, so a resident line
+            # always holds the whole block.
+            tag = block_addr >> state.line_shift
+            cache_set = state.single_set
+            if cache_set is None:
+                cache_set = state.sets[tag % state.num_sets]
+            line = cache_set.get(tag)
+            cache_counts = state.cache_counts
+            cache_counts["accesses"] += 1.0
+            if line is None:
+                cache_counts["misses"] += 1.0
+                hit = False
+            else:
+                cache_set.move_to_end(tag)
+                if is_write:
+                    line.dirty_mask |= 1
+                cache_counts["hits"] += 1.0
+                hit = True
+        if hit:
             counts["hits"] += 1.0
             if self._lat_on:
                 pend = state.mdc_pend
@@ -547,8 +559,7 @@ class SecureEngine:
         if pending is not None:
             counts["secondary_misses"] += 1.0
             pending.dirty = pending.dirty or is_write
-            mshr = state.mshr
-            entry = mshr.get(block_addr)
+            entry = state.mshr_entries.get(block_addr)
             if entry is not None and entry.merged < state.merge_cap:
                 # per-kind merge cap, which may be tighter than the table's
                 # own cap in unified mode — bump the entry directly.
@@ -562,7 +573,7 @@ class SecureEngine:
                     )
                 if self._trace_on:
                     self._trace_instant(
-                        "merge", "mshr", mshr.name, entry.line_addr, entry.merged
+                        "merge", "mshr", state.mshr.name, entry.line_addr, entry.merged
                     )
                 return pending.ready_time, _SECONDARY
             # no MSHR (or cap reached): the secondary miss becomes its own

@@ -42,20 +42,6 @@ ALL_CATEGORIES = (
 _CATEGORY_LABELS = {category: tclass.name for category, tclass in CLASS_OF_CATEGORY.items()}
 
 
-#: surface the columnar delivery lane (:mod:`repro.sim.columnar`) binds at
-#: lane construction: the FCFS channel state it reserves inline for data
-#: fetches/write-backs and the memoized per-size occupancy it reuses so
-#: timing floats stay the exact division results the per-access path computes.
-#: Renames here require a matching lane update; the contract test in
-#: ``tests/test_fastpath_identity.py`` pins the names.
-COLUMNAR_CONTRACT = (
-    "channel",
-    "access_latency",
-    "_counts",
-    "_occupancy",
-)
-
-
 class DramChannel:
     """One partition's memory channel."""
 
@@ -120,11 +106,15 @@ class DramChannel:
             occupancy = memo[nbytes] = nbytes / self.bytes_per_cycle
         return occupancy
 
+    def _new_stat_keys(self, category: str) -> tuple:
+        keys = self._stat_keys[category] = (f"txn_{category}", f"bytes_{category}")
+        return keys
+
     def _account(self, category: str, nbytes: int) -> None:
         transactions = nbytes // params.SECTOR_BYTES or 1
         keys = self._stat_keys.get(category)
         if keys is None:
-            keys = self._stat_keys[category] = (f"txn_{category}", f"bytes_{category}")
+            keys = self._new_stat_keys(category)
         counts = self._counts
         counts[keys[0]] += transactions
         counts[keys[1]] += nbytes
@@ -156,14 +146,23 @@ class DramChannel:
         transfer to a traffic class for tracing; when omitted it is derived
         from *category*.
         """
-        occupancy = self._occupancy(nbytes)
-        # FCFS acquire, inlined (the channel resource has no stats group).
+        occupancy = self._occupancy_memo.get(nbytes)
+        if occupancy is None:
+            occupancy = self._occupancy(nbytes)
         channel = self.channel
         next_free = channel.next_free
         start = next_free if next_free > now else now
         channel.next_free = start + occupancy
         channel.busy_cycles += occupancy
-        self._account(category, nbytes)
+        keys = self._stat_keys.get(category)
+        if keys is None:
+            keys = self._new_stat_keys(category)
+        transactions = nbytes // params.SECTOR_BYTES or 1
+        counts = self._counts
+        counts[keys[0]] += transactions
+        counts[keys[1]] += nbytes
+        counts["txn_total"] += transactions
+        counts["bytes_total"] += nbytes
         if self._lat_on:
             label = self._class_label(category, tclass)
             self._record_latency(label, start - now, occupancy + self.access_latency, nbytes)
@@ -194,13 +193,23 @@ class DramChannel:
         the channel occupancy delays every later access — a write queue
         drained at channel bandwidth.
         """
-        occupancy = self._occupancy(nbytes)
+        occupancy = self._occupancy_memo.get(nbytes)
+        if occupancy is None:
+            occupancy = self._occupancy(nbytes)
         channel = self.channel
         next_free = channel.next_free
         start = next_free if next_free > now else now
         channel.next_free = start + occupancy
         channel.busy_cycles += occupancy
-        self._account(category, nbytes)
+        keys = self._stat_keys.get(category)
+        if keys is None:
+            keys = self._new_stat_keys(category)
+        transactions = nbytes // params.SECTOR_BYTES or 1
+        counts = self._counts
+        counts[keys[0]] += transactions
+        counts[keys[1]] += nbytes
+        counts["txn_total"] += transactions
+        counts["bytes_total"] += nbytes
         if self._lat_on:
             label = self._class_label(category, tclass)
             self._record_latency(label, start - now, occupancy, nbytes)

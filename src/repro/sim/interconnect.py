@@ -12,7 +12,6 @@ from typing import List
 
 from repro.common.config import GpuConfig
 from repro.common.stats import StatGroup
-from repro.sim import columnar
 from repro.sim.event import EventQueue
 from repro.sim.partition import MemoryPartition
 from repro.telemetry.latency import HOP_ICNT, NULL_LATENCY
@@ -56,10 +55,6 @@ class Crossbar:
         self._lat_on = self._lat.enabled
         #: bound crossbar-hop sample buffers: one traversal pair per request.
         self._icnt_queue, self._icnt_service = self._lat.channel(HOP_ICNT, "DATA")
-        #: columnar delivery lane (None when the model configuration rules
-        #: it out); grouped deliveries classified as regular bypass the
-        #: per-access closure machinery through it.
-        self._lane = columnar.build_lane(config, events, partitions, self.latency)
 
     def partition_of(self, addr: int) -> int:
         shift = self._interleave_shift
@@ -86,14 +81,8 @@ class Crossbar:
     def _deliver_batch(self, items: list) -> None:
         events = self.events
         now = events.now
-        lane = self._lane
-        if lane is not None and lane.deliver(now, items):
-            events.extra_events += len(items) - 1
-            events.recycle_list(items)
-            return
         partitions = self.partitions
-        latency = self.latency
-        schedule_at = events.schedule_at
+        reply = self._reply
         shift = self._interleave_shift
         pmask = self._partition_mask
         for addr, is_write, respond in items:
@@ -103,11 +92,13 @@ class Crossbar:
                 partition = partitions[
                     (addr // self._interleave) % self._num_partitions
                 ]
-
-            def reply(done: float, _respond=respond) -> None:
-                arrive = done + latency
-                schedule_at(arrive, _respond, arrive)
-
-            partition.access(now, addr, is_write, reply)
+            partition.access(now, addr, is_write, respond, reply)
         events.extra_events += len(items) - 1
         events.recycle_list(items)
+
+    def _reply(self, respond) -> None:
+        """The return hop, run at a request's completion time: *respond*
+        fires on the SM side one traversal later, with that arrival time."""
+        events = self.events
+        arrive = events.now + self.latency
+        events.schedule_at(arrive, respond, arrive)

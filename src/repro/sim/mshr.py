@@ -22,22 +22,6 @@ from repro.telemetry.latency import HOP_MSHR, NULL_LATENCY
 from repro.telemetry.tracer import NULL_TRACER
 
 
-#: surface the columnar delivery lane (:mod:`repro.sim.columnar`) binds at
-#: lane construction and mirrors inline (allocate/merge/recycle for the
-#: L2 MSHR, secondary-merge peeks for the metadata MSHRs).  Renaming or
-#: re-typing anything listed here requires a matching lane update; the
-#: contract test in ``tests/test_fastpath_identity.py`` fails the rename
-#: at test time instead of deep inside a simulation.
-COLUMNAR_CONTRACT = (
-    "merge_cap",
-    "_entries",
-    "_pool",
-    "_ready_heap",
-    "recycle",
-    "earliest_ready",
-)
-
-
 class MshrEntry:
     """One in-flight line fill."""
 

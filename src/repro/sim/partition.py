@@ -20,17 +20,18 @@ unbounded future work.
 
 from __future__ import annotations
 
-from typing import Callable, List
+from heapq import heappush
+from typing import Callable, Optional
 
 from repro.common import params
 from repro.common.config import GpuConfig
 from repro.common.stats import StatGroup
 from repro.secure.engine import SecureEngine
 from repro.secure.layout import MetadataLayout
-from repro.sim.cache import AccessResult, SectoredCache
+from repro.sim.cache import SectoredCache, _Line
 from repro.sim.dram import make_dram_channel
 from repro.sim.event import EventQueue
-from repro.sim.mshr import MshrTable
+from repro.sim.mshr import MshrEntry, MshrTable
 from repro.sim.resource import ThroughputResource
 from repro.telemetry.latency import (
     HOP_E2E,
@@ -44,35 +45,11 @@ from repro.telemetry.tracer import NULL_TRACER
 from repro.telemetry.traffic import TrafficClass
 
 ResponseCallback = Callable[[float], None]
+#: reply(respond), called at a request's completion time.
+ReplyFn = Callable[[ResponseCallback], None]
 
 #: cycles of queued DRAM work beyond which the partition stops admitting.
 BACKLOG_WINDOW = 2048.0
-
-#: surface the columnar delivery lane (:mod:`repro.sim.columnar`) binds at
-#: lane construction and mirrors inline: admission gate + bank port state,
-#: fetch geometry, the L2 MSHR bindings, address-interleave geometry, the
-#: telemetry-emission flags probed per delivery, and the per-access fill
-#: methods the lane delegates to once telemetry flips on at the warmup
-#: boundary.  Renames here require a matching lane update; the contract
-#: test in ``tests/test_fastpath_identity.py`` pins the names.
-COLUMNAR_CONTRACT = (
-    "_bank",
-    "_bank_occupancy",
-    "_hit_latency",
-    "_fetch_bytes",
-    "_dram_channel",
-    "_l2_mshr_entries",
-    "_l2_mshr_cap",
-    "_l2_mshr_enabled",
-    "l2_mshr",
-    "_interleave_shift",
-    "_partition_shift",
-    "_offset_mask",
-    "_lat_on",
-    "_trace_on",
-    "_on_fill",
-    "_on_untracked_fill",
-)
 
 
 class MemoryPartition:
@@ -143,10 +120,10 @@ class MemoryPartition:
         self._fetch_bytes = (
             params.SECTOR_BYTES if config.l2_sectored else params.CACHE_LINE_BYTES
         )
-        # to_local runs per request: precompute shift/mask forms when the
-        # interleave and partition count are powers of two (they are in
-        # every shipped configuration; the divmod path remains for odd
-        # values).
+        # the global-to-local map runs per request: precompute shift/mask
+        # forms when the interleave and partition count are powers of two
+        # (they are in every shipped configuration; the divmod path remains
+        # for odd values).
         interleave, num = self._interleave, self._num_partitions
         if (
             interleave > 0
@@ -168,11 +145,28 @@ class MemoryPartition:
         #: (appending directly skips the per-call key lookup in record()).
         self._e2e_pend = self._lat.channel(HOP_E2E, "DATA")
         self._l2_pend = self._lat.channel(HOP_L2, "DATA")
-        self._stat_add = stats.add
-        # hot-path bindings: the admission gate reads the DRAM channel's
-        # next_free directly, and the L2 MSHR occupancy/capacity checks
-        # avoid a property descriptor call per access.
+        self._counts = stats.raw()
+        # hot-path bindings, resolved once.  The admission gate reads the
+        # DRAM channel's next_free directly.  The L2 is probed and filled
+        # inline (the SectoredCache.lookup/fill semantics, including its
+        # trace instants): its lines and sectors are fixed powers of two,
+        # so tag and sector bit are shifts.
         self._dram_channel = self.dram.channel
+        self._engine_read = self.engine.read_sector
+        self._engine_write = self.engine.write_sector
+        l2 = self.l2
+        self._l2_name = l2.name
+        self._l2_counts = l2._counts
+        self._l2_single = l2._single_set
+        self._l2_sets = l2._sets
+        self._l2_nsets = l2._num_sets
+        self._l2_assoc = l2._assoc
+        self._l2_shift = l2._line_shift
+        self._l2_sector_shift = l2._sector_shift
+        self._l2_spl_mask = l2._spl_mask
+        self._l2_sectored = l2._sectored
+        self._l2_full_mask = l2._full_mask
+        self._l2_evict = l2._evict_lru
         self._l2_mshr_entries = self.l2_mshr._entries
         self._l2_mshr_cap = self.l2_mshr.num_entries
         self._l2_mshr_enabled = self.l2_mshr.enabled
@@ -190,62 +184,78 @@ class MemoryPartition:
 
     # ------------------------------------------------------------------
 
-    def _admission_time(self, now: float) -> float:
-        """Earliest time a new request may be admitted (back-pressure gate)."""
-        backlog = self.dram.backlog(now)
-        if backlog > BACKLOG_WINDOW:
-            self._stat_add("admission_stalls")
-            return now + (backlog - BACKLOG_WINDOW)
-        return now
+    def _respond_now(self, respond: ResponseCallback) -> None:
+        """The default reply: hand *respond* the completion time."""
+        respond(self.events.now)
 
-    def access(self, now: float, addr: int, is_write: bool, respond: ResponseCallback) -> None:
+    def access(
+        self,
+        now: float,
+        addr: int,
+        is_write: bool,
+        respond: ResponseCallback,
+        reply: Optional[ReplyFn] = None,
+    ) -> None:
         """Handle one 32 B sector access arriving from the interconnect.
 
-        *respond* is called with the completion time: for reads, when data
-        is available to ship back; for writes, when the L2 accepted the
-        store (GPU stores do not wait for DRAM).
+        At the completion time — for reads, when data is available to ship
+        back; for writes, when the L2 accepted the store (GPU stores do not
+        wait for DRAM) — ``reply(respond)`` runs.  The default reply calls
+        ``respond`` with the completion time; the crossbar passes its
+        return hop instead, so a request needs no closure of its own.
 
         The global address is converted to the partition-local linear space
         up front: indexing the L2 with global addresses would leave most
         sets unused (this partition only sees addresses with its own
         interleave bits), and the secure engine's metadata is local anyway.
         """
-        addr = self.to_local(addr)
+        shift = self._interleave_shift
+        if shift is not None:
+            addr = ((addr >> shift >> self._partition_shift) << shift) | (
+                addr & self._offset_mask
+            )
+        else:
+            chunk, offset = divmod(addr, self._interleave)
+            addr = (chunk // self._num_partitions) * self._interleave + offset
+        if reply is None:
+            reply = self._respond_now
         lat_on = self._lat_on
         trace_on = self._trace_on
-        if trace_on:
-            emit = self._trace_instant
-            tid = self._tid
-            emit("req_issue", "partition", tid, addr, int(is_write))
         if lat_on or trace_on:
+            emit = self._trace_instant
+            if trace_on:
+                emit("req_issue", "partition", self._tid, addr, int(is_write))
             # one completion wrapper covers both telemetry channels;
             # emission order on completion: the e2e latency record, then the
-            # trace instant, then the caller's callback.  Both observe a
+            # trace instant, then the caller's reply.  Both observe a
             # completion time the model computed anyway.
-            inner = respond
             e2e_q, e2e_s = self._e2e_pend if lat_on else (None, None)
 
-            def respond(
-                done: float,
-                _inner=inner,
+            def reply(
+                respond: ResponseCallback,
+                _inner=reply,
+                _clock=self.events,
                 _now=now,
                 _q=e2e_q,
                 _s=e2e_s,
+                _trace=trace_on,
+                _emit=emit,
+                _tid=self._tid,
                 _addr=addr,
                 _w=int(is_write),
             ) -> None:
                 if _q is not None:
                     _q.append(0.0)
-                    _s.append(done - _now)
-                if trace_on:
-                    emit("req_done", "partition", tid, _addr, _w)
-                _inner(done)
+                    _s.append(_clock.now - _now)
+                if _trace:
+                    _emit("req_done", "partition", _tid, _addr, _w)
+                _inner(respond)
 
-        # back-pressure admission gate, inlined (== _admission_time).
-        channel = self._dram_channel
-        backlog = channel.next_free - now
+        counts = self._counts
+        # back-pressure admission gate.
+        backlog = self._dram_channel.next_free - now
         if backlog > BACKLOG_WINDOW:
-            self._stat_add("admission_stalls")
+            counts["admission_stalls"] += 1.0
             admit = now + (backlog - BACKLOG_WINDOW)
             if lat_on:
                 self._lat.stall(STALL_L2_ADMISSION, admit - now)
@@ -258,101 +268,183 @@ class MemoryPartition:
         bank.next_free = bank_start + occupancy
         bank.busy_cycles += occupancy
         start = bank_start + occupancy
-        l2_queue = bank_start - now if lat_on else 0.0
-        if is_write:
-            self._handle_write(start, addr, respond, l2_queue)
+
+        # L2 probe (SectoredCache.lookup): LRU motion, dirty bit on a
+        # write hit, hit/miss counts and trace instants.
+        tag = addr >> self._l2_shift
+        cache_set = self._l2_single
+        if cache_set is None:
+            cache_set = self._l2_sets[tag % self._l2_nsets]
+        line = cache_set.get(tag)
+        l2_counts = self._l2_counts
+        l2_counts["accesses"] += 1.0
+        hit = False
+        if line is None:
+            l2_counts["misses"] += 1.0
+            if trace_on:
+                emit("miss", "cache", self._l2_name, addr, "DATA")
         else:
-            self._handle_read(start, addr, respond, l2_queue)
+            cache_set.move_to_end(tag)
+            if self._l2_sectored:
+                bit = 1 << ((addr >> self._l2_sector_shift) & self._l2_spl_mask)
+            else:
+                bit = 1
+            if line.valid_mask & bit:
+                if is_write:
+                    line.dirty_mask |= bit
+                l2_counts["hits"] += 1.0
+                hit = True
+                if trace_on:
+                    emit("hit", "cache", self._l2_name, addr, "DATA")
+            else:
+                l2_counts["misses"] += 1.0
+                l2_counts["sector_misses"] += 1.0
+                if trace_on:
+                    emit("sector_miss", "cache", self._l2_name, addr, "DATA")
 
-    # ------------------------------------------------------------------
-
-    def _handle_write(
-        self, now: float, addr: int, respond: ResponseCallback, l2_queue: float = 0.0
-    ) -> None:
-        result = self.l2.lookup(addr, is_write=True)
-        if result is not AccessResult.HIT:
-            # full-sector store: allocate without fetching.
-            evictions = self.l2.write_insert(addr)
-            self._write_back(now, evictions)
-        if self._lat_on:
-            self._l2_pend[0].append(l2_queue)
-            self._l2_pend[1].append(self._bank_occupancy + self._hit_latency)
-        self.events.schedule_at(now + self._hit_latency, respond, now + self._hit_latency)
-
-    def _handle_read(
-        self, now: float, addr: int, respond: ResponseCallback, l2_queue: float = 0.0
-    ) -> None:
-        result = self.l2.lookup(addr, is_write=False)
-        if result is AccessResult.HIT:
-            if self._lat_on:
-                self._l2_pend[0].append(l2_queue)
-                self._l2_pend[1].append(self._bank_occupancy + self._hit_latency)
-            done = now + self._hit_latency
-            self.events.schedule_at(done, respond, done)
+        if hit or is_write:
+            if not hit:
+                # full-sector store: allocate without fetching.
+                self._fill(start, addr, True)
+            if lat_on:
+                self._l2_pend[0].append(bank_start - now)
+                self._l2_pend[1].append(occupancy + self._hit_latency)
+            done = start + self._hit_latency
+            self.events.schedule_at(done, reply, respond)
             return
 
-        if self._lat_on:
+        if lat_on:
             # misses pay the bank move here; the rest of their latency is
             # attributed to the MSHR / crypto / DRAM hops downstream.
-            self._l2_pend[0].append(l2_queue)
-            self._l2_pend[1].append(self._bank_occupancy)
+            self._l2_pend[0].append(bank_start - now)
+            self._l2_pend[1].append(occupancy)
         sector = addr - addr % self._fetch_bytes
         mshr_enabled = self._l2_mshr_enabled
         entries = self._l2_mshr_entries
         entry = entries.get(sector) if mshr_enabled else None
         if entry is not None:
-            self._stat_add("l2_secondary_misses")
-            if entry.merged < self.l2_mshr.merge_cap:
-                self.l2_mshr.merge(entry, waiter=respond, now=now)
+            counts["l2_secondary_misses"] += 1.0
+            l2_mshr = self.l2_mshr
+            if entry.merged < l2_mshr.merge_cap:
+                l2_mshr.merge(entry, (reply, respond), start)
                 return
             # merge cap reached: redundant fetch, no fill.
-            ready = self.engine.read_sector(now, sector, self._fetch_bytes)
-            self._stat_add("l2_duplicate_fetches")
-            if self._trace_on:
-                self._trace_instant("dup_fetch", "mshr", self.l2_mshr.name, sector)
-            self.events.schedule_at(ready, respond, ready)
+            ready = self._engine_read(start, sector, self._fetch_bytes)
+            counts["l2_duplicate_fetches"] += 1.0
+            if trace_on:
+                emit("dup_fetch", "mshr", l2_mshr.name, sector)
+            self.events.schedule_at(ready, reply, respond)
             return
 
-        start = now
-        full = mshr_enabled and len(entries) >= self._l2_mshr_cap
-        if full:
-            self._stat_add("l2_mshr_full_stalls")
-            start = max(now, self.l2_mshr.earliest_ready())
-            if self._lat_on:
-                self._lat.stall(STALL_L2_MSHR_FULL, start - now)
-                self._lat.record(HOP_MSHR, "DATA", start - now, 0.0)
-        ready = self.engine.read_sector(start, sector, self._fetch_bytes)
-        if mshr_enabled and len(entries) < self._l2_mshr_cap:
-            self.l2_mshr.allocate(sector, ready, waiter=respond)
+        begin = start
+        tracked = mshr_enabled and len(entries) < self._l2_mshr_cap
+        if mshr_enabled and not tracked:
+            # structural stall: wait for the earliest in-flight fill.
+            counts["l2_mshr_full_stalls"] += 1.0
+            earliest = self.l2_mshr.earliest_ready()
+            if earliest > begin:
+                begin = earliest
+            if lat_on:
+                self._lat.stall(STALL_L2_MSHR_FULL, begin - start)
+                self._lat.record(HOP_MSHR, "DATA", begin - start, 0.0)
+        ready = self._engine_read(begin, sector, self._fetch_bytes)
+        if tracked:
+            # MshrTable.allocate, inlined: enabled, not full and no entry
+            # for the sector were all checked above.
+            l2_mshr = self.l2_mshr
+            pool = l2_mshr._pool
+            if pool:
+                entry = pool.pop()
+                entry.line_addr = sector
+                entry.ready_time = ready
+                entry.merged = 0
+            else:
+                entry = MshrEntry(sector, ready)
+            entry.waiters.append((reply, respond))
+            entries[sector] = entry
+            heappush(l2_mshr._ready_heap, (ready, sector))
             self.events.schedule_at(ready, self._on_fill, sector)
         else:
             # no MSHR slot: untracked fetch, still fills the cache.
-            self.events.schedule_at(ready, self._on_untracked_fill, sector, respond)
+            self.events.schedule_at(
+                ready, self._on_untracked_fill, sector, reply, respond
+            )
+
+    # ------------------------------------------------------------------
+
+    def _fill(self, now: float, addr: int, dirty: bool) -> None:
+        """Install *addr*'s sector (or whole line) in the L2.
+
+        ``SectoredCache.fill`` inlined; a dirty victim leaves through the
+        secure engine, one write per dirty sector.
+        """
+        tag = addr >> self._l2_shift
+        cache_set = self._l2_single
+        if cache_set is None:
+            cache_set = self._l2_sets[tag % self._l2_nsets]
+        victim = None
+        line = cache_set.get(tag)
+        if line is None:
+            if len(cache_set) >= self._l2_assoc:
+                victim = self._l2_evict(cache_set)
+            line = _Line()
+            cache_set[tag] = line
+        if self._l2_sectored:
+            bit = 1 << ((addr >> self._l2_sector_shift) & self._l2_spl_mask)
+        else:
+            bit = self._l2_full_mask
+        line.valid_mask |= bit
+        if dirty:
+            line.dirty_mask |= bit
+        cache_set.move_to_end(tag)
+        self._l2_counts["fills"] += 1.0
+        if victim is not None:
+            counts = self._counts
+            for sector_addr in victim.dirty_sector_addrs:
+                counts["l2_writebacks"] += 1.0
+                self._engine_write(now, sector_addr, self._fetch_bytes)
 
     def _on_fill(self, sector: int) -> None:
-        now = self.events.now
-        entry = self.l2_mshr.release(sector)
+        entry = self._l2_mshr_entries.pop(sector)
         if self._trace_on:
             self._trace_instant(
                 "fill", "mshr", self.l2_mshr.name, sector, len(entry.waiters)
             )
-        evictions = self.l2.fill(sector)
-        self._write_back(now, evictions)
-        for respond in entry.waiters:
-            respond(now)
+        now = self.events.now
+        # _fill(now, sector, False), inlined: the hottest fill site.
+        tag = sector >> self._l2_shift
+        cache_set = self._l2_single
+        if cache_set is None:
+            cache_set = self._l2_sets[tag % self._l2_nsets]
+        victim = None
+        line = cache_set.get(tag)
+        if line is None:
+            if len(cache_set) >= self._l2_assoc:
+                victim = self._l2_evict(cache_set)
+            line = _Line()
+            cache_set[tag] = line
+        if self._l2_sectored:
+            line.valid_mask |= 1 << (
+                (sector >> self._l2_sector_shift) & self._l2_spl_mask
+            )
+        else:
+            line.valid_mask |= self._l2_full_mask
+        cache_set.move_to_end(tag)
+        self._l2_counts["fills"] += 1.0
+        if victim is not None:
+            counts = self._counts
+            for sector_addr in victim.dirty_sector_addrs:
+                counts["l2_writebacks"] += 1.0
+                self._engine_write(now, sector_addr, self._fetch_bytes)
+        for reply, respond in entry.waiters:
+            reply(respond)
         self.l2_mshr.recycle(entry)
 
-    def _on_untracked_fill(self, sector: int, respond: ResponseCallback) -> None:
-        now = self.events.now
-        evictions = self.l2.fill(sector)
-        self._write_back(now, evictions)
-        respond(now)
-
-    def _write_back(self, now: float, evictions: List) -> None:
-        for eviction in evictions:
-            for sector_addr in eviction.dirty_sector_addrs:
-                self._stat_add("l2_writebacks")
-                self.engine.write_sector(now, sector_addr, self._fetch_bytes)
+    def _on_untracked_fill(
+        self, sector: int, reply: ReplyFn, respond: ResponseCallback
+    ) -> None:
+        self._fill(self.events.now, sector, False)
+        reply(respond)
 
     # ------------------------------------------------------------------
 

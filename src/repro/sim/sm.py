@@ -76,8 +76,10 @@ class StreamingMultiprocessor:
         self.issue_width = config.sm_issue_width
         self._lat = latency if latency is not None else NULL_LATENCY
         self._lat_on = self._lat.enabled
-        #: bound (queue, service) sample buffers for the sm_mem hop.
+        #: bound (queue, service) sample buffers for the sm_mem hop and for
+        #: L1 hits.
         self._sm_pend = self._lat.channel(HOP_SM, "DATA")
+        self._l1_pend = self._lat.channel(HOP_L1, "DATA")
         self.l1 = SectoredCache(
             config.l1_config,
             stats.child("l1"),
@@ -90,9 +92,9 @@ class StreamingMultiprocessor:
         self._l1_mshrs = config.l1_config.num_mshrs
         self._l1_inflight: Dict[int, List[Callable[[float], None]]] = {}
         self._l1_hit_latency = config.l1_config.hit_latency
-        # L1 probe/fill geometry, bound for the inline fast path (taken
-        # when the shape is power-of-two and L1 telemetry is off; the
-        # generic SectoredCache methods cover everything else).
+        # L1 probe/fill geometry, bound for the inline path (taken when
+        # the shape is power-of-two; the generic SectoredCache methods
+        # cover everything else).
         l1 = self.l1
         self._l1_fast = l1._line_shift is not None and (
             not l1._sectored or l1._spl_mask is not None
@@ -193,10 +195,9 @@ class StreamingMultiprocessor:
         warp_cb = warp.done
         lat_cb = None
         batch = self.events.borrow_list()
-        # inline L1 probe: same stat updates and LRU motion as
-        # SectoredCache.lookup, valid only while L1 telemetry is off (a hit
-        # records a latency sample and traces emit per-probe events).
-        fast = self._l1_fast and not l1._lat_on and not l1._trace_on
+        # inline L1 probe: the stat updates, LRU motion and hit latency
+        # sample of SectoredCache.lookup (the L1 has no tracer).
+        fast = self._l1_fast
         l1c = self._l1_counts
         l1_single = self._l1_single
         l1_sets = self._l1_sets
@@ -205,6 +206,7 @@ class StreamingMultiprocessor:
         l1_sshift = self._l1_sector_shift
         l1_smask = self._l1_spl_mask
         l1_sectored = self._l1_sectored
+        l1_pend = self._l1_pend
         for addr in op.mem_addrs:
             sector = addr & _SECTOR_ALIGN
             if fast:
@@ -226,6 +228,9 @@ class StreamingMultiprocessor:
                     if line.valid_mask & bit:
                         l1c["hits"] += 1.0
                         hit = True
+                        if lat_on:
+                            l1_pend[0].append(0.0)
+                            l1_pend[1].append(hit_latency)
                     else:
                         l1c["misses"] += 1.0
                         l1c["sector_misses"] += 1.0

@@ -194,5 +194,12 @@ class TestGpuConfigValidation:
         with pytest.raises(ValueError):
             GpuConfig(partition_interleave_bytes=100)
 
+    def test_rejects_non_power_of_two_partitions(self):
+        """4 GiB // 3 is no whole number of lines: the model cannot be built."""
+        with pytest.raises(
+            ValueError, match=r"^num_partitions must be a power of two, got 3$"
+        ):
+            GpuConfig.scaled(num_partitions=3)
+
     def test_l2_cache_config_is_sectored(self):
         assert GpuConfig().l2_cache_config().sectored

@@ -488,10 +488,17 @@ class TestService:
             {"workloads": []},
             {"partitions": "many"},
             {"horizon": -1},
+            # counts no GpuConfig accepts (3), that are no integer (4.9), and
+            # far beyond the paper GPU (100000: 250,000 SMs in a worker).
+            {"partitions": 3},
+            {"partitions": 4.9},
+            {"partitions": 100000},
         ):
             with pytest.raises(urllib.error.HTTPError) as excinfo:
                 http_json(service.url + "/sweeps", payload)
             assert excinfo.value.code == 400
+        _, doc = http_json(service.url + "/sweeps")
+        assert doc["sweeps"] == []
 
     def test_progress_query_requeues_expired_leases(self, service, tmp_path):
         _, doc = http_json(

@@ -81,6 +81,22 @@ class TestReadPath:
         assert first.times and second.times
         assert partition.stats.get("l2_secondary_misses") == 1
 
+    def test_merge_cap_overflow_fetches_again(self):
+        """Past the merge cap a secondary miss is its own untracked fetch."""
+        partition, events = make_partition()
+        cap = partition.l2_mshr.merge_cap
+        collectors = [Collector() for _ in range(cap + 3)]
+        for c in collectors:
+            partition.access(0.0, 0x40, False, c)
+        events.run()
+        assert partition.stats.get("l2_secondary_misses") == cap + 2
+        assert partition.stats.get("l2_duplicate_fetches") == 2
+        assert partition.dram.stats.get("txn_data_read") == 3
+        assert all(len(c.times) == 1 for c in collectors)
+        merged = {c.times[0] for c in collectors[: cap + 1]}
+        assert len(merged) == 1  # the primary and its merges share the fill
+        assert collectors[-1].times[0] > merged.pop()  # queued behind it
+
     def test_all_waiters_respond_at_fill(self):
         partition, events = make_partition()
         collectors = [Collector() for _ in range(4)]
