@@ -156,8 +156,8 @@ class TestObservabilityErrors:
 class TestImportFootprint:
     def test_cli_and_telemetry_run_never_import_numpy(self):
         """The package is pure Python: importing the CLI and running one
-        telemetry-on point (trace generation, the columnar lane and the
-        histogram fold all run) loads no numpy.  A fresh interpreter,
+        telemetry-on point (trace generation, the partition access path
+        and the histogram fold all run) loads no numpy.  A fresh interpreter,
         because the test runner's own plugins may load it."""
         code = (
             "import dataclasses, sys\n"
