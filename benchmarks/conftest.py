@@ -6,8 +6,9 @@ warmup, all 14 workloads) and prints the same rows/series the paper
 reports.  Results land in a sharded, crash-safe cache on disk, so repeated
 invocations and figures sharing design points (e.g. the baseline) only
 simulate once.  The session runner is a
-:class:`~repro.experiments.parallel.ParallelRunner`: set ``REPRO_JOBS`` to
-fan independent points out over worker processes (default: one per core).
+:class:`~repro.experiments.runner.Runner`: set ``REPRO_JOBS`` to fan
+independent points out over that many worker processes (default 0: one
+per core; 1 simulates in process).
 
 Run with::
 
@@ -19,14 +20,14 @@ from pathlib import Path
 
 import pytest
 
-from repro.experiments.parallel import ParallelRunner
+from repro.experiments.runner import Runner
 
 #: benchmark-harness scale; EXPERIMENTS.md is regenerated at a larger one.
 PARTITIONS = 2
 HORIZON = 8_000
 WARMUP = 20_000
 
-JOBS = int(os.environ.get("REPRO_JOBS", "0")) or None  # None = cpu_count
+JOBS = int(os.environ.get("REPRO_JOBS", "0"))  # 0 = one per core
 
 
 @pytest.fixture(scope="session")
@@ -35,7 +36,7 @@ def paper_runner():
     # the sharded cache lives in the ``.json.d/`` directory next to it.
     legacy = Path(__file__).parent / "_cache" / f"results_p{PARTITIONS}_h{HORIZON}.json"
     cache = legacy if legacy.is_file() else legacy.with_name(legacy.name + ".d")
-    runner = ParallelRunner(
+    runner = Runner(
         horizon=HORIZON, warmup=WARMUP, cache_path=cache, jobs=JOBS
     )
     yield runner

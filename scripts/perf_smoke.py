@@ -1,12 +1,12 @@
 #!/usr/bin/env python3
 """Perf smoke run: serial vs parallel on a small fixed simulation matrix.
 
-Simulates the same fixed ``(workload, config)`` matrix twice — once
-serially through :class:`~repro.experiments.runner.Runner`, once through
-:class:`~repro.experiments.parallel.ParallelRunner` with a process pool —
-verifies the results are bit-identical, and writes ``BENCH_parallel.json``
-(wall times, points/sec, speedup, core count) so the perf trajectory is
-comparable across changes.
+Simulates the same fixed ``(workload, config)`` matrix twice through
+:class:`~repro.experiments.runner.Runner` — once in process (``jobs=1``),
+once over a process pool (``jobs=N``) — verifies the results are
+bit-identical, and writes ``BENCH_parallel.json`` (wall times,
+points/sec, speedup, core count) so the perf trajectory is comparable
+across changes.
 
 It also benchmarks the simulation core itself and writes
 ``BENCH_core.json``: serial points/sec and events/sec over ``CORE_REPS``
@@ -45,7 +45,6 @@ ROOT = Path(__file__).resolve().parent.parent
 from repro.common import host_metadata
 from repro.common.config import TelemetryConfig
 from repro.experiments import designs
-from repro.experiments.parallel import ParallelRunner
 from repro.experiments.runner import Runner, result_to_dict
 
 PARTITIONS = 2
@@ -325,7 +324,7 @@ def main() -> int:
         serial.prefetch(points)
         serial_times.append(time.perf_counter() - t0)
 
-        parallel = ParallelRunner(
+        parallel = Runner(
             horizon=HORIZON, warmup=WARMUP, benchmarks=BENCHMARKS, jobs=jobs
         )
         t0 = time.perf_counter()

@@ -30,7 +30,7 @@ import json
 
 from repro.analysis.report import render_series_table
 from repro.experiments import figures
-from repro.experiments.parallel import ParallelRunner
+from repro.experiments.runner import Runner
 from repro.workloads.suite import BENCHMARK_ORDER
 
 PARTITIONS = 4
@@ -191,11 +191,11 @@ def main() -> None:
     # the sharded cache lives in the ``<name>.json.d/`` directory either way.
     legacy = ROOT / "results" / f"experiments_p{PARTITIONS}_h{horizon}_w{warmup}.json"
     cache = legacy if legacy.is_file() else legacy.with_name(legacy.name + ".d")
-    runner = ParallelRunner(
+    runner = Runner(
         horizon=horizon,
         warmup=warmup,
         cache_path=cache,
-        jobs=args.jobs or None,
+        jobs=args.jobs,
         heartbeat_path=args.heartbeat,
         ledger_path=args.ledger,
     )
@@ -251,12 +251,13 @@ the paper's result next to the measured table.
 
 Regeneration accepts `--jobs N` (0 = one worker per core) to fan the
 independent simulation points out over a process pool — results are
-bit-identical to a serial run — and keeps a sharded, crash-safe result
-cache under `results/` (append-only JSONL shards, compacted atomically on
-close), so an interrupted run resumes from its completed points.  On an
-N-core machine a cold full regeneration speeds up near-linearly until the
-figure-level batches are smaller than the pool.  `--stats-json PATH`
-exports points/sec, cache hit-rate and per-phase wall time.
+bit-identical to an in-process run — and keeps a sharded, crash-safe
+result cache under `results/` (append-only JSONL shards that gain each
+point as it finishes, compacted atomically on close), so an interrupted
+run resumes from every point it completed.  On an N-core machine a cold
+full regeneration speeds up near-linearly until the figure-level batches
+are smaller than the pool.  `--stats-json PATH` exports points/sec, cache
+hit-rate and per-phase wall time.
 
 Any point here can be re-examined under the telemetry subsystem
 (`python -m repro trace <bench> --design <name>`): it emits a Chrome

@@ -38,11 +38,10 @@ from typing import List, Optional
 
 import repro
 from repro.analysis.report import render_series_table, render_traffic_breakdown
-from repro.common.config import MetadataKind, TelemetryConfig
+from repro.common.config import GpuConfig, MetadataKind, TelemetryConfig
 from repro.experiments import designs as design_mod
 from repro.experiments import figures
 from repro.experiments.designs import DESIGNS
-from repro.experiments.parallel import ParallelRunner
 from repro.experiments.runner import Runner, gmean
 from repro.secure import layout as layout_mod
 from repro.secure import merkle
@@ -799,15 +798,9 @@ def _cmd_bench(args) -> int:
 
 
 def _make_runner(args, benchmarks: Optional[List[str]] = None) -> Runner:
-    jobs = getattr(args, "jobs", 1)
-    if jobs != 1:
-        return ParallelRunner(
-            horizon=args.horizon,
-            warmup=args.warmup,
-            benchmarks=benchmarks,
-            jobs=jobs or None,
-        )
-    return Runner(horizon=args.horizon, warmup=args.warmup, benchmarks=benchmarks)
+    return Runner(
+        horizon=args.horizon, warmup=args.warmup, benchmarks=benchmarks, jobs=args.jobs
+    )
 
 
 def _cmd_sweep(args) -> int:
@@ -1134,14 +1127,13 @@ def _cmd_scorecard(args) -> int:
         if not cache.is_file():
             sharded = cache.with_name(cache.name + ".d")
             cache = sharded if sharded.is_dir() else cache
-    # always the parallel runner: jobs=1 follows the exact serial path,
-    # and it opens both cache formats (legacy single-file and sharded).
-    runner = ParallelRunner(
+    # the runner opens both cache formats (legacy single-file and sharded).
+    runner = Runner(
         horizon=horizon,
         warmup=warmup,
         benchmarks=benchmarks,
         cache_path=cache,
-        jobs=args.jobs or None,
+        jobs=args.jobs,
         heartbeat_path=args.heartbeat,
         ledger_path=args.ledger,
     )
@@ -1288,6 +1280,13 @@ def _cmd_attack() -> int:
 
 def main(argv: Optional[List[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
+    partitions = getattr(args, "partitions", None)
+    if partitions is not None:
+        try:
+            GpuConfig.scaled(partitions)
+        except ValueError as exc:
+            print(f"error: --partitions {partitions}: {exc}", file=sys.stderr)
+            return 2
     if args.command == "run":
         return _cmd_run(args)
     if args.command == "profile":

@@ -31,7 +31,7 @@ def _normalized_columns(
 ) -> Series:
     base = _baseline(partitions)
     # one batch with every (benchmark, column) point plus the shared
-    # baseline: a ParallelRunner fans the whole figure out at once.
+    # baseline: a runner with jobs > 1 fans the whole figure out at once.
     runner.prefetch(
         (name, config)
         for config in list(columns.values()) + [base]

@@ -1,39 +1,61 @@
-"""Experiment executor with result caching.
+"""Experiment executor: one runner, a sharded result cache, optional process pool.
 
-Figures share many simulation points (every figure needs the insecure
-baseline, several share ``secureMem``); the :class:`Runner` memoizes
-results by (workload, configuration, window) so a full paper regeneration
-runs each distinct point exactly once.  An optional JSON cache file makes
-re-runs across processes incremental.
-
-Cache writes are batched and atomic (tmp file + ``os.replace``): the cache
-is flushed every ``flush_every`` new points, on :meth:`Runner.flush`, on
-context-manager exit, and best-effort on garbage collection, so a killed
-run never leaves a truncated file behind.  A corrupt or unreadable cache
-is ignored with a warning instead of aborting construction.
-
-:class:`~repro.experiments.parallel.ParallelRunner` subclasses this to fan
-simulation points out over a process pool with a sharded on-disk cache;
+The paper's evaluation is a matrix of *independent* ``(workload,
+config)`` simulation points, and figures share many of them (every
+figure needs the insecure baseline, several share ``secureMem``).  The
+:class:`Runner` memoizes results by (workload, configuration, window) so
+a full paper regeneration runs each distinct point exactly once.
 :meth:`Runner.prefetch` is the hook figure drivers use to hand it whole
-batches of points up front.
+batches of points up front; it
+
+1. **plans** — deduplicates the batch and subtracts everything already
+   resident in memory or in the on-disk cache,
+2. **simulates** the rest, in this process when ``jobs == 1`` or only
+   one point is pending, else over a
+   :class:`concurrent.futures.ProcessPoolExecutor`, and
+3. **merges** each point the moment it finishes: telemetry artifacts,
+   cache append, memo, ledger record, metrics and heartbeat line.
+
+:meth:`Runner.run` on a miss is a one-point batch.  The simulator is
+deterministic, so a point simulated in a pool worker produces a
+bit-identical result dict to one simulated in process.
+
+On-disk format (:class:`ShardedResultCache`) is a directory of
+append-only JSONL shards::
+
+    cache_dir/
+      shard-00.jsonl     # one JSON object per line: {"key": ..., "result": ...}
+      ...
+      shard-0f.jsonl
+
+Each point is appended to its shard as soon as it is merged (O(1) I/O
+per point), so a killed run keeps every point it finished.  Appends land
+in completion order, which in a pool depends on which worker finished
+first; :meth:`ShardedResultCache.compact` (run by :meth:`Runner.close`)
+rewrites each shard atomically via tmp + ``os.replace`` with one line per
+key in sorted order, so compacted shards are deterministic.  A torn final
+line (the only damage a kill can inflict on an append) is skipped at load
+time, and a legacy single-file JSON cache is imported read-only.
 """
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
-import enum
 import gc
+import enum
 import hashlib
 import json
 import math
 import os
 import time
 import warnings
+from concurrent.futures import ProcessPoolExecutor, as_completed
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.common.config import GpuConfig, MetadataKind
-from repro.sim.gpu import SimulationResult, simulate
+from repro.sim.gpu import SimulationResult, _gc_paused, simulate
 from repro.telemetry.session import write_artifacts
 from repro.workloads.suite import BENCHMARK_ORDER, get_benchmark
 
@@ -120,12 +142,165 @@ def gmean(values: Iterable[float]) -> float:
     return math.exp(sum(math.log(v) for v in values) / len(values))
 
 
+def _simulate_point(
+    workload_name: str, config: GpuConfig, horizon: float, warmup: float
+) -> Tuple[dict, float, Optional[dict]]:
+    """Pool entry point: one simulation as ``(payload, seconds, telemetry)``.
+
+    The payload is :func:`result_to_dict` of the result; the worker's wall
+    time and telemetry export travel beside it, so the payload is exactly
+    what the result cache stores.
+    """
+    t0 = time.perf_counter()
+    result = simulate(
+        config, get_benchmark(workload_name), horizon=horizon, warmup=warmup
+    )
+    return result_to_dict(result), time.perf_counter() - t0, result.telemetry
+
+
+class ShardedResultCache:
+    """A directory of append-only JSONL result shards.
+
+    Single-writer (the process that owns the runner), crash-safe: every
+    ``put`` is one appended line, corrupt/truncated lines are ignored at
+    load, and compaction rewrites each shard atomically.
+    """
+
+    def __init__(
+        self, directory: str | Path, num_shards: int = 16, read_only: bool = False
+    ) -> None:
+        self.directory = Path(directory)
+        self.num_shards = max(1, int(num_shards))
+        #: a read-only cache folds puts into memory but never touches
+        #: disk — how job-store workers share one cache directory while
+        #: it keeps exactly one writer (the process that populated it).
+        self.read_only = bool(read_only)
+        self._data: Dict[str, dict] = {}
+        #: per-shard live line counts; a shard with more lines than live
+        #: keys carries dead weight (overwrites / recovered corruption).
+        self._lines: Dict[int, int] = {}
+        #: whether this session wrote anything; a read-only consumer (a
+        #: scorecard over a warm cache) must leave the disk untouched.
+        self._mutated = False
+        self._load()
+
+    # ------------------------------------------------------------------
+
+    def _shard_index(self, key: str) -> int:
+        # stable across processes (unlike hash() with PYTHONHASHSEED).
+        digest = hashlib.blake2b(key.encode(), digest_size=2).digest()
+        return int.from_bytes(digest, "little") % self.num_shards
+
+    def _shard_path(self, index: int) -> Path:
+        return self.directory / f"shard-{index:02x}.jsonl"
+
+    def _load(self) -> None:
+        if self.directory.is_file():
+            # A legacy single-file JSON cache at this path: import it
+            # read-only, then keep the shards in a sibling directory.
+            try:
+                legacy = json.loads(self.directory.read_text())
+                if not isinstance(legacy, dict):
+                    raise ValueError(
+                        f"expected a JSON object, got {type(legacy).__name__}"
+                    )
+                self._data.update(
+                    {k: v for k, v in legacy.items() if isinstance(v, dict)}
+                )
+            except (ValueError, OSError) as exc:  # JSONDecodeError is a ValueError
+                warnings.warn(
+                    f"ignoring corrupt result cache {self.directory}: {exc}",
+                    RuntimeWarning,
+                )
+            self.directory = self.directory.with_name(self.directory.name + ".d")
+        if not self.directory.is_dir():
+            return
+        for index in range(self.num_shards):
+            path = self._shard_path(index)
+            if not path.exists():
+                continue
+            lines = 0
+            try:
+                text = path.read_text()
+            except OSError as exc:
+                warnings.warn(
+                    f"ignoring unreadable cache shard {path}: {exc}", RuntimeWarning
+                )
+                continue
+            for line in text.splitlines():
+                line = line.strip()
+                if not line:
+                    continue
+                lines += 1
+                try:
+                    entry = json.loads(line)
+                    self._data[entry["key"]] = entry["result"]
+                except (ValueError, KeyError, TypeError):
+                    # torn append from a killed run — drop the line, keep
+                    # everything that made it to disk intact.
+                    continue
+            self._lines[index] = lines
+
+    # ------------------------------------------------------------------
+
+    def __len__(self) -> int:
+        return len(self._data)
+
+    def __contains__(self, key: str) -> bool:
+        return key in self._data
+
+    def get(self, key: str) -> Optional[dict]:
+        return self._data.get(key)
+
+    def put(self, key: str, payload: dict) -> None:
+        """Record *key* and append it durably to its shard."""
+        self._data[key] = payload
+        if self.read_only:
+            return
+        index = self._shard_index(key)
+        path = self._shard_path(index)
+        self.directory.mkdir(parents=True, exist_ok=True)
+        line = json.dumps({"key": key, "result": payload})
+        with open(path, "a") as fh:
+            fh.write(line + "\n")
+        self._lines[index] = self._lines.get(index, 0) + 1
+        self._mutated = True
+
+    def compact(self) -> None:
+        """Rewrite shards with one line per live key, atomically.
+
+        A session that never wrote (pure cache reads, e.g. a scorecard
+        over a warm cache) skips compaction entirely: puts are durable
+        the moment they happen, so there is nothing to rewrite, and a
+        read-only consumer must not materialize shards from a legacy
+        single-file cache it imported.
+        """
+        if not self._data or not self._mutated:
+            return
+        by_shard: Dict[int, List[str]] = {}
+        for key in sorted(self._data):
+            by_shard.setdefault(self._shard_index(key), []).append(key)
+        for index, keys in by_shard.items():
+            live = len(keys)
+            if self._lines.get(index, 0) == live and self._shard_path(index).exists():
+                continue  # already compact
+            self.directory.mkdir(parents=True, exist_ok=True)
+            path = self._shard_path(index)
+            tmp = path.with_name(path.name + ".tmp")
+            with open(tmp, "w") as fh:
+                for key in keys:
+                    fh.write(json.dumps({"key": key, "result": self._data[key]}) + "\n")
+            os.replace(tmp, path)
+            self._lines[index] = live
+
+
 @dataclasses.dataclass
 class RunnerStats:
     """Throughput accounting for one runner's lifetime.
 
-    ``phase_seconds`` is filled by the parallel runner (plan / simulate /
-    merge); the serial runner only accumulates ``sim_seconds``.
+    ``sim_seconds`` is the wall time of every batch that simulated
+    anything; ``phase_seconds`` splits :meth:`Runner.prefetch` time into
+    ``plan``, ``simulate`` and ``merge``.
     """
 
     points_simulated: int = 0
@@ -172,8 +347,97 @@ class RunnerStats:
         return " | ".join(parts)
 
 
+class _Batch:
+    """One prefetch batch's progress, mirrored to the heartbeat sidecar."""
+
+    def __init__(self, heartbeat_path: Optional[Path], total: int) -> None:
+        self.heartbeat_path = heartbeat_path
+        self.total = total
+        self.done = 0  # points finished, failed ones included
+        self.completed = 0  # points merged
+        self.errors: List[Exception] = []
+        self.merge_s = 0.0
+        # leading record: lets consumers compute progress/ETA before the
+        # first point completes (and tells "just started" from "no
+        # heartbeat at all").
+        self._append({"event": "start", "ts": time.time(), "total": total})
+        self.started = time.perf_counter()
+
+    def _append(self, record: dict) -> None:
+        if self.heartbeat_path is None:
+            return
+        try:
+            self.heartbeat_path.parent.mkdir(parents=True, exist_ok=True)
+            with open(self.heartbeat_path, "a") as fh:
+                fh.write(json.dumps(record) + "\n")
+        except OSError:
+            # observability must never fail the sweep it observes.
+            pass
+
+    def tick(self) -> None:
+        """Count one finished point and append its progress line."""
+        self.done += 1
+        if self.heartbeat_path is None:
+            return
+        elapsed = time.perf_counter() - self.started
+        rate = self.done / elapsed if elapsed > 0.0 else 0.0
+        eta = (self.total - self.done) / rate if rate > 0.0 else None
+        self._append(
+            {
+                "ts": time.time(),
+                "done": self.done,
+                "total": self.total,
+                "elapsed_s": round(elapsed, 3),
+                "points_per_s": round(rate, 3),
+                "eta_s": round(eta, 3) if eta is not None else None,
+            }
+        )
+
+    def close(self) -> float:
+        """Append the terminal ``done`` line; returns the batch wall time.
+
+        Its presence distinguishes a finished sweep from one whose process
+        died mid-batch; ``status`` records whether every point completed
+        (an interrupted batch ends with points unfinished).
+        """
+        elapsed = time.perf_counter() - self.started
+        rate = self.completed / elapsed if elapsed > 0.0 else 0.0
+        self._append(
+            {
+                "event": "done",
+                "ts": time.time(),
+                "done": self.completed,
+                "total": self.total,
+                "elapsed_s": round(elapsed, 3),
+                "points_per_s": round(rate, 3),
+                "status": "failed" if self.errors or self.done < self.total else "ok",
+                "failures": len(self.errors),
+            }
+        )
+        return elapsed
+
+
 class Runner:
-    """Runs (workload, config) points once and remembers the answers."""
+    """Runs (workload, config) points once and remembers the answers.
+
+    ``cache_path`` names a *directory* holding the sharded result cache (a
+    legacy single-file JSON cache at that path is imported read-only);
+    ``cache_read_only`` keeps new results in memory instead of appending
+    them.  ``jobs`` chooses how a batch simulates: 1 (the default) in this
+    process, N over a pool of N processes, 0 or None one per core.
+
+    ``heartbeat_path`` names a JSONL sidecar that gets one leading
+    ``{"event": "start", "total": N, ...}`` line per batch that will
+    simulate anything (consumers can size progress bars before the first
+    point lands), one appended line per *finished* point (``{ts, done,
+    total, elapsed_s, points_per_s, eta_s}``) and one terminal
+    ``{"event": "done", ...}`` line per batch, so a long sweep can be
+    watched from another terminal with ``tail -f`` and a dead one told
+    apart from a slow one.  Counts are per :meth:`prefetch` batch (a
+    :meth:`run` miss is a one-point batch).  Heartbeats are best-effort:
+    an unwritable path never fails the sweep, and the file plays no part
+    in result merging or caching.
+    """
 
     def __init__(
         self,
@@ -181,13 +445,16 @@ class Runner:
         warmup: float = 18_000,
         benchmarks: Optional[List[str]] = None,
         cache_path: Optional[str | Path] = None,
-        flush_every: int = 16,
+        jobs: Optional[int] = 1,
         telemetry_dir: Optional[str | Path] = None,
+        heartbeat_path: Optional[str | Path] = None,
         ledger_path: Optional[str | Path] = None,
+        cache_read_only: bool = False,
         metrics=None,
     ) -> None:
         self.horizon = horizon
         self.warmup = warmup
+        self.jobs = max(1, jobs or os.cpu_count() or 1)
         # Live metrics are opt-in and NULL by default: the sim hot path
         # must cost nothing when nobody is watching.  Guarded by a plain
         # bool so the default path never even calls the null stubs.
@@ -218,6 +485,7 @@ class Runner:
         #: persistence; points whose configs have telemetry off export
         #: nothing either way.
         self.telemetry_dir = Path(telemetry_dir) if telemetry_dir else None
+        self.heartbeat_path = Path(heartbeat_path) if heartbeat_path else None
         #: optional run ledger — one append-only JSONL record per point
         #: that reached disk (simulated, served from the disk cache, or
         #: failed).  Memory hits are never recorded: they are re-reads of
@@ -238,65 +506,22 @@ class Runner:
         self._span_parent = None
         self._spans_on = False
         self._memory: Dict[Tuple[str, str], SimulationResult] = {}
-        self._cache_path = Path(cache_path) if cache_path else None
-        self._disk: Dict[str, dict] = {}
-        self._dirty = 0
-        self._flush_every = max(1, int(flush_every))
-        self._cache_open()
-
-    # -- cache primitives (overridden by ParallelRunner) ----------------
-
-    def _cache_open(self) -> None:
-        if self._cache_path is None or not self._cache_path.exists():
-            return
-        try:
-            data = json.loads(self._cache_path.read_text())
-            if not isinstance(data, dict):
-                raise ValueError(f"expected a JSON object, got {type(data).__name__}")
-            self._disk = data
-        except (ValueError, OSError) as exc:  # json.JSONDecodeError is a ValueError
-            warnings.warn(
-                f"ignoring corrupt result cache {self._cache_path}: {exc}",
-                RuntimeWarning,
-                stacklevel=3,
-            )
-            self._disk = {}
-
-    def _cache_get(self, disk_key: str) -> Optional[dict]:
-        return self._disk.get(disk_key)
-
-    def _cache_put(self, disk_key: str, payload: dict) -> None:
-        if self._cache_path is None:
-            return
-        self._disk[disk_key] = payload
-        self._dirty += 1
-        if self._dirty >= self._flush_every:
-            self.flush()
-
-    def flush(self) -> None:
-        """Write pending results to disk atomically (tmp + ``os.replace``)."""
-        if self._cache_path is None or not self._dirty:
-            return
-        self._cache_path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = self._cache_path.with_name(self._cache_path.name + ".tmp")
-        tmp.write_text(json.dumps(self._disk))
-        os.replace(tmp, self._cache_path)
-        self._dirty = 0
+        self._cache = (
+            ShardedResultCache(cache_path, read_only=cache_read_only)
+            if cache_path
+            else None
+        )
 
     def close(self) -> None:
-        self.flush()
+        """Compact the result cache (appends are already durable)."""
+        if self._cache is not None:
+            self._cache.compact()
 
     def __enter__(self) -> "Runner":
         return self
 
     def __exit__(self, *exc_info) -> None:
         self.close()
-
-    def __del__(self) -> None:  # best-effort: don't lose the cache tail
-        try:
-            self.close()
-        except Exception:
-            pass
 
     # ------------------------------------------------------------------
 
@@ -330,175 +555,268 @@ class Runner:
         self._span_parent = parent
         self._spans_on = bool(recorder is not None and recorder.enabled)
 
+    def _point_span(
+        self, key: Tuple[str, str], outcome: str, parent=None, **record
+    ) -> Tuple[Optional[str], Optional[str]]:
+        """Record a finished ``runner.point`` span; returns its ids."""
+        if not self._spans_on:
+            return None, None
+        attrs = {"workload": key[0], "config": key[1], "outcome": outcome}
+        attrs.update(record.pop("attrs", {}))
+        span = self._spans.record(
+            "runner.point", component="runner",
+            parent=self._span_parent if parent is None else parent,
+            attrs=attrs, **record,
+        )
+        return span["trace_id"], span["span_id"]
+
     def _record_ledger(
-        self,
-        workload_name: str,
-        cfg_key: str,
-        outcome: str,
-        duration_s: Optional[float] = None,
-        stats: Optional[dict] = None,
-        telemetry_dir: Optional[Path] = None,
-        error: Optional[str] = None,
-        trace_id: Optional[str] = None,
-        span_id: Optional[str] = None,
+        self, key: Tuple[str, str], outcome: str,
+        result: Optional[SimulationResult] = None, **fields,
     ) -> None:
         if self.ledger is None:
             return
+        # deferred import: repro.obsv.scorecard imports this module.
+        from repro.obsv.ledger import key_stats
+
         self.ledger.record_point(
-            workload_name,
-            cfg_key,
-            self.horizon,
-            self.warmup,
-            outcome,
-            duration_s=duration_s,
-            stats=stats,
-            telemetry_dir=telemetry_dir,
-            error=error,
-            trace_id=trace_id,
-            span_id=span_id,
+            key[0], key[1], self.horizon, self.warmup, outcome,
+            stats=key_stats(result) if result is not None else None, **fields,
         )
 
-    def _refresh_metric_gauges(self) -> None:
-        self._m_rate.set(self.stats.points_per_second)
-        self._m_hit_ratio.set(self.stats.cache_hit_rate)
+    # -- the one site per outcome ---------------------------------------
+
+    def _memory_hit(self, key: Tuple[str, str]) -> None:
+        self.stats.memory_hits += 1
+        if self._metrics_on:
+            self._m_points.labels("memory_hit").inc()
+        self._point_span(key, "memory_hit")
+
+    def _disk_hit(self, key: Tuple[str, str], payload: dict) -> None:
+        self.stats.disk_hits += 1
+        if self._metrics_on:
+            self._m_points.labels("disk_hit").inc()
+        result = result_from_dict(payload)
+        self._memory[key] = result
+        trace_id, span_id = self._point_span(key, "cached")
+        self._record_ledger(key, "cached", result, trace_id=trace_id, span_id=span_id)
+
+    def _merge(
+        self, batch: _Batch, key: Tuple[str, str], disk_key: str,
+        result: SimulationResult, elapsed: float,
+        trace_id: Optional[str] = None, span_id: Optional[str] = None,
+    ) -> None:
+        """Fold one simulated point in: artifacts, cache, memo, ledger."""
+        t0 = time.perf_counter()
+        export = result.telemetry
+        if trace_id is not None and isinstance(export, dict) and isinstance(
+            export.get("meta"), dict
+        ):
+            # join the point's sim-level artifacts (trace.json meta /
+            # summary.json) to its service-level span.  Only when a trace
+            # is live: untraced exports stay byte-identical.
+            export["meta"]["trace_id"] = trace_id
+            export["meta"]["span_id"] = span_id
+        tel_dir = self._persist_telemetry(key[0], key[1], export)
+        # the result cache stays telemetry-free: artifacts live in
+        # telemetry_dir, and cached payloads are identical whether the
+        # point ran with tracing on or off.
+        if self._cache is not None:
+            self._cache.put(disk_key, result_to_dict(result))
+        self._memory[key] = result
+        self._record_ledger(
+            key, "simulated", result, duration_s=elapsed, telemetry_dir=tel_dir,
+            trace_id=trace_id, span_id=span_id,
+        )
+        self.stats.points_simulated += 1
+        if self._metrics_on:
+            self._m_points.labels("simulated").inc()
+        batch.completed += 1
+        batch.merge_s += time.perf_counter() - t0
+        batch.tick()
+
+    def _fail(
+        self, batch: _Batch, key: Tuple[str, str], exc: Exception,
+        duration_s: Optional[float] = None,
+        trace_id: Optional[str] = None, span_id: Optional[str] = None,
+    ) -> None:
+        """Record one point that raised; the rest of the batch goes on."""
+        batch.errors.append(exc)
+        self._record_ledger(
+            key, "failed", duration_s=duration_s,
+            error=f"{type(exc).__name__}: {exc}",
+            trace_id=trace_id, span_id=span_id,
+        )
+        batch.tick()
+
+    # -- plan / simulate / merge ----------------------------------------
 
     def run(self, workload_name: str, config: GpuConfig) -> SimulationResult:
         key = (workload_name, config_key(config))
-        cached = self._memory.get(key)
-        if cached is not None:
-            self.stats.memory_hits += 1
-            if self._metrics_on:
-                self._m_points.labels("memory_hit").inc()
-            if self._spans_on:
-                self._spans.record(
-                    "runner.point", component="runner",
-                    parent=self._span_parent,
-                    attrs={"workload": workload_name, "config": key[1],
-                           "outcome": "memory_hit"},
-                )
-            return cached
-        disk_key = self._disk_key(workload_name, key[1])
-        payload = self._cache_get(disk_key)
-        if payload is not None:
-            self.stats.disk_hits += 1
-            if self._metrics_on:
-                self._m_points.labels("disk_hit").inc()
-            result = result_from_dict(payload)
-            trace_id = span_id = None
-            if self._spans_on:
-                span_record = self._spans.record(
-                    "runner.point", component="runner",
-                    parent=self._span_parent,
-                    attrs={"workload": workload_name, "config": key[1],
-                           "outcome": "cached"},
-                )
-                trace_id = span_record["trace_id"]
-                span_id = span_record["span_id"]
-            if self.ledger is not None:
-                from repro.obsv.ledger import key_stats
-
-                self._record_ledger(
-                    workload_name, key[1], "cached", stats=key_stats(result),
-                    trace_id=trace_id, span_id=span_id,
-                )
-        else:
-            point_span = None
-            sim_span = None
-            if self._spans_on:
-                point_span = self._spans.start_span(
-                    "runner.point", component="runner",
-                    parent=self._span_parent,
-                    attrs={"workload": workload_name, "config": key[1]},
-                )
-                sim_span = self._spans.start_span(
-                    "runner.simulate", component="runner", parent=point_span,
-                    attrs={"workload": workload_name,
-                           "horizon": self.horizon, "warmup": self.warmup},
-                )
-            t0 = time.perf_counter()
-            try:
-                result = simulate(
-                    config,
-                    get_benchmark(workload_name),
-                    horizon=self.horizon,
-                    warmup=self.warmup,
-                )
-            except (Exception, KeyboardInterrupt) as exc:
-                if point_span is not None:
-                    sim_span.end(status="error")
-                    point_span.set(outcome="failed")
-                    point_span.end(status="error")
-                self._record_ledger(
-                    workload_name,
-                    key[1],
-                    "failed",
-                    duration_s=time.perf_counter() - t0,
-                    error=f"{type(exc).__name__}: {exc}",
-                    trace_id=point_span.trace_id if point_span else None,
-                    span_id=point_span.span_id if point_span else None,
-                )
-                raise
-            elapsed = time.perf_counter() - t0
-            if sim_span is not None:
-                sim_span.end()
-            self.stats.sim_seconds += elapsed
-            self.stats.points_simulated += 1
-            if self._metrics_on:
-                self._m_points.labels("simulated").inc()
-                self._refresh_metric_gauges()
-            if point_span is not None and isinstance(result.telemetry, dict):
-                # join the point's sim-level artifacts (trace.json meta /
-                # summary.json) to its service-level span.  Only when a
-                # trace is live: untraced exports stay byte-identical.
-                meta = result.telemetry.get("meta")
-                if isinstance(meta, dict):
-                    meta["trace_id"] = point_span.trace_id
-                    meta["span_id"] = point_span.span_id
-            tel_dir = self._persist_telemetry(workload_name, key[1], result.telemetry)
-            # the result cache stays telemetry-free: artifacts live in
-            # telemetry_dir, and cached payloads are identical whether the
-            # point ran with tracing on or off.
-            self._cache_put(disk_key, result_to_dict(result))
-            if self.ledger is not None:
-                from repro.obsv.ledger import key_stats
-
-                self._record_ledger(
-                    workload_name,
-                    key[1],
-                    "simulated",
-                    duration_s=elapsed,
-                    stats=key_stats(result),
-                    telemetry_dir=tel_dir,
-                    trace_id=point_span.trace_id if point_span else None,
-                    span_id=point_span.span_id if point_span else None,
-                )
-            if point_span is not None:
-                point_span.set(outcome="simulated")
-                point_span.end()
-        self._memory[key] = result
+        result = self._memory.get(key)
+        if result is None:
+            self.prefetch([(workload_name, config)])
+            return self._memory[key]
+        self._memory_hit(key)
         return result
+
+    def plan(
+        self, points: Iterable[Tuple[str, GpuConfig]]
+    ) -> List[Tuple[Tuple[str, str], str, GpuConfig]]:
+        """Deduplicate *points* and subtract everything already resident.
+
+        Disk-cached points are folded into the memo table on the way
+        through; the returned list is only what must be simulated, as
+        ``(memo_key, disk_key, config)`` tuples in first-seen order.
+        """
+        pending: List[Tuple[Tuple[str, str], str, GpuConfig]] = []
+        seen = set()
+        for workload_name, config in points:
+            key = (workload_name, config_key(config))
+            if key in seen:
+                continue
+            seen.add(key)
+            if key in self._memory:
+                self._memory_hit(key)
+                continue
+            disk_key = self._disk_key(*key)
+            payload = self._cache.get(disk_key) if self._cache is not None else None
+            if payload is not None:
+                self._disk_hit(key, payload)
+                continue
+            pending.append((key, disk_key, config))
+        return pending
 
     def prefetch(self, points: Iterable[Tuple[str, GpuConfig]]) -> int:
         """Make a batch of points resident before they are read.
 
-        The serial runner just runs them in order; the parallel runner
-        overrides this to fan the missing ones out over a process pool.
-        Returns the number of points that had to be simulated.
+        Returns the number of points simulated.  A point that raises is
+        ledgered as failed while the rest of the batch goes on, and the
+        first such error is re-raised at the end.  An interrupt (or any
+        other non-``Exception``) ends the batch at once: no new point
+        starts, finished points stay merged, and the interrupted point is
+        not ledgered.
         """
-        before = self.stats.points_simulated
-        # one collector pause for the whole batch: each simulate() pauses
-        # gc on its own, but re-enabling between points triggers threshold
-        # collections over the just-dropped model graphs mid-batch.
-        was_enabled = gc.isenabled()
-        if was_enabled:
-            gc.disable()
+        t0 = time.perf_counter()
+        pending = self.plan(points)
+        self.stats.add_phase("plan", time.perf_counter() - t0)
+        if not pending:
+            return 0
+        batch = _Batch(self.heartbeat_path, len(pending))
         try:
-            for workload_name, config in points:
-                self.run(workload_name, config)
+            if self.jobs == 1 or len(pending) == 1:
+                self._simulate_in_process(pending, batch)
+            else:
+                self._simulate_in_pool(pending, batch)
         finally:
-            if was_enabled:
-                gc.enable()
-        return self.stats.points_simulated - before
+            wall = batch.close()
+            self.stats.sim_seconds += wall
+            self.stats.add_phase("simulate", wall - batch.merge_s)
+            self.stats.add_phase("merge", batch.merge_s)
+            if self._metrics_on:
+                self._m_rate.set(self.stats.points_per_second)
+                self._m_hit_ratio.set(self.stats.cache_hit_rate)
+        if batch.errors:
+            # finished points are already durably cached and ledgered;
+            # surface the first failure to the caller.
+            raise batch.errors[0]
+        return batch.completed
+
+    def _simulate_in_process(
+        self, pending: List[Tuple[Tuple[str, str], str, GpuConfig]], batch: _Batch
+    ) -> None:
+        # A multi-point batch pauses the collector once and collects only
+        # the young generation before each point: that frees the previous
+        # point's dropped (cyclic) model graph in one pass, where threshold
+        # collections between points would walk graphs still alive, and a
+        # batch holding every graph to its end would grow ~8 MiB a point
+        # at paper scale.  A one-point batch (a run() miss) keeps
+        # simulate()'s own pause, so no collection lands after the
+        # simulation, on a served point's overhead.
+        batched = len(pending) > 1
+        with _gc_paused() if batched else contextlib.nullcontext():
+            for key, disk_key, config in pending:
+                if batched:
+                    gc.collect(0)
+                point_span = sim_span = None
+                ids = (None, None)
+                if self._spans_on:
+                    point_span = self._spans.start_span(
+                        "runner.point", component="runner",
+                        parent=self._span_parent,
+                        attrs={"workload": key[0], "config": key[1]},
+                    )
+                    sim_span = self._spans.start_span(
+                        "runner.simulate", component="runner", parent=point_span,
+                        attrs={"workload": key[0],
+                               "horizon": self.horizon, "warmup": self.warmup},
+                    )
+                    ids = (point_span.trace_id, point_span.span_id)
+                t0 = time.perf_counter()
+                try:
+                    result = simulate(
+                        config,
+                        get_benchmark(key[0]),
+                        horizon=self.horizon,
+                        warmup=self.warmup,
+                    )
+                except Exception as exc:
+                    if point_span is not None:
+                        sim_span.end(status="error")
+                        point_span.set(outcome="failed")
+                        point_span.end(status="error")
+                    self._fail(batch, key, exc, time.perf_counter() - t0, *ids)
+                    continue
+                elapsed = time.perf_counter() - t0
+                if sim_span is not None:
+                    sim_span.end()
+                self._merge(batch, key, disk_key, result, elapsed, *ids)
+                if point_span is not None:
+                    point_span.set(outcome="simulated")
+                    point_span.end()
+
+    def _simulate_in_pool(
+        self, pending: List[Tuple[Tuple[str, str], str, GpuConfig]], batch: _Batch
+    ) -> None:
+        batch_span = None
+        if self._spans_on:
+            batch_span = self._spans.start_span(
+                "runner.batch", component="runner", parent=self._span_parent,
+                attrs={"pending": len(pending), "jobs": self.jobs},
+            )
+        pool = ProcessPoolExecutor(max_workers=min(self.jobs, len(pending)))
+        try:
+            futures = {
+                pool.submit(
+                    _simulate_point, key[0], config, self.horizon, self.warmup
+                ): (key, disk_key)
+                for key, disk_key, config in pending
+            }
+            for future in as_completed(futures):
+                key, disk_key = futures[future]
+                try:
+                    payload, elapsed, export = future.result()
+                except Exception as exc:
+                    ids = self._point_span(key, "failed", batch_span, status="error")
+                    self._fail(batch, key, exc, None, *ids)
+                    continue
+                # pool workers are trace-blind; their spans are recorded
+                # here from the worker-reported wall time.
+                ids = self._point_span(
+                    key, "simulated", batch_span,
+                    ts=time.time() - elapsed, duration_s=elapsed,
+                    attrs={"timing": "worker-reported"},
+                )
+                result = result_from_dict(payload)
+                result.telemetry = export
+                self._merge(batch, key, disk_key, result, elapsed, *ids)
+        finally:
+            # after an interrupt, points that have not started never will;
+            # running ones finish in their workers and are not merged.
+            pool.shutdown(cancel_futures=True)
+            if batch_span is not None:
+                batch_span.set(completed=batch.completed, failed=len(batch.errors))
+                batch_span.end(status="error" if batch.errors else None)
 
     # ------------------------------------------------------------------
 

@@ -1,8 +1,8 @@
 """The sweep-service job subsystem: shared job store, workers, HTTP front end.
 
 The experiment layer up to now was "one process owns one sweep": a
-:class:`~repro.experiments.parallel.ParallelRunner` fans points over a
-local process pool and nothing outside that process can join, resume, or
+:class:`~repro.experiments.runner.Runner` fans points over a local
+process pool and nothing outside that process can join, resume, or
 observe the sweep.  This package turns sweep points into **rows in a
 shared job store** that any number of workers — across processes and
 hosts sharing a filesystem — claim under a lease, execute through the

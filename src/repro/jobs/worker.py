@@ -5,8 +5,8 @@ shared job store.  Each iteration it returns expired leases to the
 queue, claims the oldest eligible pending job, rebuilds the job's
 :class:`~repro.common.config.GpuConfig` from its spec, and runs it
 through the **existing experiment stack** — a
-:class:`~repro.experiments.parallel.ParallelRunner` with ``jobs=1``, so
-every piece of machinery the serial path earned still applies:
+:class:`~repro.experiments.runner.Runner` with ``jobs=1``, so every
+piece of machinery the in-process path earned still applies:
 
 * the in-process memo and the **sharded result cache** (opened
   read-only: many workers may share one cache directory, and the cache
@@ -54,8 +54,7 @@ from typing import Dict, Optional, Tuple
 
 from repro.common.config import GpuConfig
 from repro.experiments.designs import build_named_gpu
-from repro.experiments.parallel import ParallelRunner
-from repro.experiments.runner import config_key, result_to_dict
+from repro.experiments.runner import Runner, config_key, result_to_dict
 from repro.jobs.store import Job, SQLiteJobStore, span_sink
 from repro.obsv.logging import NULL_LOG
 from repro.obsv.metrics import MetricsRegistry
@@ -143,7 +142,7 @@ class Worker:
         self.executed: Dict[str, int] = {"simulated": 0, "cached": 0, "failed": 0}
         #: one runner per (horizon, warmup) window, reused across jobs so
         #: the memo table and warm state survive between points.
-        self._runners: Dict[Tuple[float, float], ParallelRunner] = {}
+        self._runners: Dict[Tuple[float, float], Runner] = {}
         # Workers default to a live registry (the per-point emission
         # sites cost microseconds against multi-second points); pass the
         # store's registry to share one process-wide view, or
@@ -182,14 +181,14 @@ class Worker:
 
     # ------------------------------------------------------------------
 
-    def _runner(self, horizon: float, warmup: float) -> ParallelRunner:
+    def _runner(self, horizon: float, warmup: float) -> Runner:
         window = (horizon, warmup)
         runner = self._runners.get(window)
         if runner is None:
             ledger_path = None
             if self.ledger_dir is not None:
                 ledger_path = self.ledger_dir / f"worker-{self.worker_id}.jsonl"
-            runner = ParallelRunner(
+            runner = Runner(
                 horizon=horizon,
                 warmup=warmup,
                 cache_path=self.cache_dir,

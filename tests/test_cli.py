@@ -82,6 +82,17 @@ class TestRun:
         with pytest.raises(SystemExit):
             main(["run", "nw", "--design", "nope", *FAST])
 
+    @pytest.mark.parametrize("command", [
+        ["run", "nw"],
+        ["sweep", "--bench", "nw"],
+        ["scorecard", "--profile", "smoke"],
+    ])
+    def test_bad_partitions_one_error_line_exit_2(self, command, capsys):
+        assert main([*command, "--partitions", "3"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: --partitions 3: ")
+        assert "power of two" in err and err.count("\n") == 1
+
 
 class TestFigure:
     def test_figure_table2(self, capsys):

@@ -23,8 +23,7 @@ from repro.common.config import (
 )
 from repro.common.stats import StatGroup
 from repro.experiments import designs
-from repro.experiments.parallel import ParallelRunner
-from repro.experiments.runner import result_to_dict
+from repro.experiments.runner import Runner, result_to_dict
 from repro.secure.layout import MetadataLayout
 from repro.sim.event import EventQueue
 from repro.sim.gpu import simulate
@@ -360,9 +359,7 @@ class TestArtifacts:
 class TestHeartbeat:
     def test_one_line_per_completed_point(self, tmp_path):
         heartbeat = tmp_path / "hb.jsonl"
-        runner = ParallelRunner(
-            horizon=1_200, warmup=800, jobs=1, heartbeat_path=heartbeat
-        )
+        runner = Runner(horizon=1_200, warmup=800, jobs=1, heartbeat_path=heartbeat)
         points = [
             ("bfs", designs.build_gpu(None, PARTITIONS)),
             ("nw", designs.build_gpu(None, PARTITIONS)),
@@ -394,7 +391,7 @@ class TestHeartbeat:
         assert len(heartbeat.read_text().splitlines()) == 4
 
     def test_disabled_by_default(self, tmp_path):
-        runner = ParallelRunner(horizon=1_200, warmup=800, jobs=1)
+        runner = Runner(horizon=1_200, warmup=800, jobs=1)
         assert runner.heartbeat_path is None
         runner.prefetch([("bfs", designs.build_gpu(None, PARTITIONS))])
 

@@ -8,8 +8,7 @@ import pytest
 
 from repro.cli import main
 from repro.experiments import designs
-from repro.experiments.parallel import ParallelRunner
-from repro.experiments.runner import Runner, config_key
+from repro.experiments.runner import Runner
 from repro.obsv.dashboard import SECTIONS, build_dashboard
 from repro.obsv.diff import diff_ledgers, mad_outliers
 from repro.obsv.ledger import (
@@ -52,7 +51,7 @@ def parallel_runner(tmp_path, tag, **kwargs):
     kwargs.setdefault("benchmarks", BENCHES)
     kwargs.setdefault("cache_path", tmp_path / f"cache-{tag}.d")
     kwargs.setdefault("ledger_path", tmp_path / f"ledger-{tag}.jsonl")
-    return ParallelRunner(**kwargs)
+    return Runner(**kwargs)
 
 
 def synthetic_point(workload, config="cfgdigest", ipc=1.0, outcome="simulated",
@@ -196,18 +195,25 @@ class TestLedgerRunnerIntegration:
         assert p1[0]["stats"] == p2[0]["stats"]
 
     def test_failed_point_recorded_and_batch_survives(self, tmp_path, monkeypatch):
-        import repro.experiments.parallel as parallel_mod
+        self.check_flaky_batch(tmp_path, monkeypatch, jobs=1)
 
-        real = parallel_mod._simulate_point
+    def test_failed_pool_point_recorded_and_batch_survives(self, tmp_path, monkeypatch):
+        # pool workers are forked, so they inherit the patched simulate.
+        self.check_flaky_batch(tmp_path, monkeypatch, jobs=2)
 
-        def flaky(workload_name, config, horizon, warmup):
-            if workload_name == "bfs":
+    def check_flaky_batch(self, tmp_path, monkeypatch, jobs):
+        import repro.experiments.runner as runner_mod
+
+        real = runner_mod.simulate
+
+        def flaky(config, workload, **kwargs):
+            if workload.name == "bfs":
                 raise RuntimeError("injected fault")
-            return real(workload_name, config, horizon, warmup)
+            return real(config, workload, **kwargs)
 
-        monkeypatch.setattr(parallel_mod, "_simulate_point", flaky)
+        monkeypatch.setattr(runner_mod, "simulate", flaky)
         heartbeat = tmp_path / "hb.jsonl"
-        runner = parallel_runner(tmp_path, "flaky", jobs=1, heartbeat_path=heartbeat)
+        runner = parallel_runner(tmp_path, "flaky", jobs=jobs, heartbeat_path=heartbeat)
         base = designs.build_gpu(None, 2)
         with pytest.raises(RuntimeError, match="injected fault"):
             runner.prefetch([("nw", base), ("bfs", base)])
@@ -300,9 +306,7 @@ class TestExpectationEdges:
 class TestScorecard:
     @pytest.mark.skipif(not PAPER_CACHE.exists(), reason="paper cache not present")
     def test_paper_profile_passes_from_shipped_cache(self):
-        runner = ParallelRunner(
-            horizon=10_000, warmup=30_000, cache_path=PAPER_CACHE, jobs=1
-        )
+        runner = Runner(horizon=10_000, warmup=30_000, cache_path=PAPER_CACHE)
         doc = build_scorecard(runner, "paper", 4)
         # the shipped cache covers the whole scorecard matrix: nothing may
         # simulate, and every Section-V conclusion must reproduce.

@@ -1,16 +1,27 @@
-"""Parallel execution subsystem: equivalence, sharded cache, crash safety."""
+"""Runner execution: pool == in-process equivalence, sharded cache, crash safety."""
 
 import json
+import os
+import signal
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import pytest
 
+import repro.experiments.runner as runner_mod
 from repro.experiments import designs
-from repro.experiments.parallel import (
-    ParallelRunner,
+from repro.experiments.runner import (
+    Runner,
     ShardedResultCache,
     _simulate_point,
+    config_key,
+    result_to_dict,
 )
-from repro.experiments.runner import Runner, config_key, result_to_dict
+from repro.obsv.ledger import ledger_points, read_ledger
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 HORIZON, WARMUP = 1200, 400
 BENCHES = ["nw", "bfs"]
@@ -30,10 +41,8 @@ def serial_runner(**kwargs):
 
 
 def parallel_runner(**kwargs):
-    kwargs.setdefault("horizon", HORIZON)
-    kwargs.setdefault("warmup", WARMUP)
-    kwargs.setdefault("benchmarks", BENCHES)
-    return ParallelRunner(**kwargs)
+    kwargs.setdefault("jobs", 2)
+    return serial_runner(**kwargs)
 
 
 class TestEquivalence:
@@ -57,12 +66,20 @@ class TestEquivalence:
 
     def test_worker_matches_runner_miss_path(self):
         name, config = matrix_points()[0]
-        payload = _simulate_point(name, config, HORIZON, WARMUP)
-        # the worker's wall time rides back out-of-band and is popped
-        # before the payload reaches the cache; the result itself is
-        # bit-identical to the serial miss path.
-        assert payload.pop("_elapsed_s") >= 0.0
+        payload, elapsed, telemetry = _simulate_point(name, config, HORIZON, WARMUP)
+        # the worker's wall time and telemetry ride beside the payload,
+        # which is bit-identical to the in-process miss path.
+        assert elapsed >= 0.0 and telemetry is None
         assert payload == result_to_dict(serial_runner().run(name, config))
+
+    def test_in_process_batch_keeps_live_results(self):
+        # perf_smoke reads events_processed through prefetch + run; pool
+        # results are rebuilt from the cached payload and carry neither.
+        runner = serial_runner()
+        runner.prefetch(matrix_points())
+        for name, config in matrix_points():
+            result = runner.run(name, config)
+            assert result.events_processed > 0 and result.stats.children()
 
 
 class TestPrefetch:
@@ -189,8 +206,139 @@ class TestCrashSafety:
         reloaded = parallel_runner(jobs=1, cache_path=tmp_path / "cache")
         assert reloaded.prefetch(matrix_points()) == 0
 
+    def test_compacted_shards_do_not_depend_on_completion_order(self, tmp_path):
+        shards = {}
+        for jobs in (1, 2):
+            cache = tmp_path / f"cache-{jobs}"
+            with parallel_runner(jobs=jobs, cache_path=cache) as runner:
+                runner.prefetch(reversed(matrix_points()))
+            shards[jobs] = {p.name: p.read_text() for p in cache.glob("shard-*")}
+        assert shards[1] == shards[2]
+
+
+#: a sweep over matrix_points() in its own process, for kill tests.  "exit"
+#: dies (os._exit) while point 3 of 4 simulates; "hang" blocks the two
+#: secure-config points forever, so only the two baseline points finish.
+KILLED_SWEEP = """
+import os, sys, time
+import repro.experiments.runner as runner_mod
+from repro.experiments import designs
+
+mode, jobs, cache, ledger = sys.argv[1], int(sys.argv[2]), sys.argv[3], sys.argv[4]
+base = designs.build_gpu(None, 2)
+secure = designs.build_gpu(designs.direct(40), 2)
+points = [(name, config) for config in (base, secure) for name in ("nw", "bfs")]
+real, started = runner_mod.simulate, []
+
+def point(config, workload, **kwargs):
+    started.append(workload.name)
+    if mode == "exit" and len(started) == 3:
+        os._exit(3)
+    if mode == "hang" and config == secure:
+        time.sleep(600)
+    return real(config, workload, **kwargs)
+
+runner_mod.simulate = point
+runner = runner_mod.Runner(horizon=%d, warmup=%d, cache_path=cache,
+                           ledger_path=ledger, jobs=jobs)
+runner.prefetch(points)
+""" % (HORIZON, WARMUP)
+
+
+class TestKilledSweep:
+    """A sweep killed mid-batch keeps every point it finished."""
+
+    def start(self, tmp_path, mode, jobs):
+        script = tmp_path / "sweep.py"
+        script.write_text(KILLED_SWEEP)
+        env = dict(os.environ, PYTHONPATH=str(SRC))
+        argv = [sys.executable, str(script), mode, str(jobs),
+                str(tmp_path / "cache"), str(tmp_path / "ledger.jsonl")]
+        return subprocess.Popen(argv, env=env, start_new_session=True)
+
+    def assert_first_two_kept(self, tmp_path):
+        points = matrix_points()
+        fresh = serial_runner(cache_path=tmp_path / "cache")
+        pending = fresh.plan(points)
+        assert fresh.stats.disk_hits == 2
+        assert [(key[0], config) for key, _disk_key, config in pending] == points[2:]
+        records = ledger_points(read_ledger(tmp_path / "ledger.jsonl"))
+        assert sorted((r["workload"], r["config"], r["outcome"]) for r in records) == \
+            sorted((name, config_key(config), "simulated") for name, config in points[:2])
+
+    def test_exit_during_point_three_keeps_two(self, tmp_path):
+        proc = self.start(tmp_path, "exit", 1)
+        assert proc.wait(timeout=120) == 3
+        self.assert_first_two_kept(tmp_path)
+
+    def test_pool_killed_after_two_points_keeps_two(self, tmp_path):
+        proc = self.start(tmp_path, "hang", 2)
+        ledger = tmp_path / "ledger.jsonl"
+        try:
+            deadline = time.monotonic() + 120
+            while time.monotonic() < deadline and proc.poll() is None:
+                if ledger.exists() and len(ledger_points(read_ledger(ledger))) >= 2:
+                    break
+                time.sleep(0.05)
+            assert proc.poll() is None, "the sweep exited instead of hanging"
+        finally:
+            os.killpg(proc.pid, signal.SIGKILL)
+            proc.wait(timeout=30)
+        self.assert_first_two_kept(tmp_path)
+
+
+class TestInterrupt:
+    def test_ctrl_c_ends_the_batch_at_once(self, tmp_path, monkeypatch):
+        real, started = runner_mod.simulate, []
+
+        def point(config, workload, **kwargs):
+            started.append(workload.name)
+            if len(started) == 2:
+                raise KeyboardInterrupt
+            return real(config, workload, **kwargs)
+
+        monkeypatch.setattr(runner_mod, "simulate", point)
+        cache, ledger = tmp_path / "cache", tmp_path / "ledger.jsonl"
+        heartbeat = tmp_path / "hb.jsonl"
+        runner = serial_runner(cache_path=cache, ledger_path=ledger,
+                               heartbeat_path=heartbeat)
+        points = matrix_points()
+        with pytest.raises(KeyboardInterrupt):
+            runner.prefetch(points)
+        assert len(started) == 2  # no point starts after the interrupt
+        assert runner.stats.points_simulated == 1
+        done = json.loads(heartbeat.read_text().splitlines()[-1])
+        assert done["event"] == "done" and done["status"] == "failed"
+        # the finished point is ledgered; the interrupted one is not ...
+        records = ledger_points(read_ledger(ledger))
+        assert [(r["workload"], r["outcome"]) for r in records] == [("nw", "simulated")]
+        # ... so a resumed run records its success.
+        monkeypatch.setattr(runner_mod, "simulate", real)
+        resumed = serial_runner(cache_path=cache, ledger_path=ledger)
+        assert resumed.prefetch(points) == 3 and resumed.stats.disk_hits == 1
+        records = ledger_points(read_ledger(ledger))
+        assert len(records) == 4
+        assert {r["outcome"] for r in records} == {"simulated"}
+
+    def test_ctrl_c_ends_a_pool_batch(self, tmp_path, monkeypatch):
+        def interrupted(self, *args, **kwargs):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(Runner, "_merge", interrupted)
+        heartbeat = tmp_path / "hb.jsonl"
+        runner = parallel_runner(cache_path=tmp_path / "cache",
+                                 heartbeat_path=heartbeat)
+        with pytest.raises(KeyboardInterrupt):
+            runner.prefetch(matrix_points())
+        assert runner.stats.points_simulated == 0
+        done = json.loads(heartbeat.read_text().splitlines()[-1])
+        assert done["event"] == "done" and done["status"] == "failed"
+
 
 class TestSerialRunnerCacheHardening:
+    """A legacy single-file cache that is not a JSON object warns and is
+    skipped; the file stays as it was and new points go to the shards."""
+
     def test_corrupt_cache_warns_and_starts_fresh(self, tmp_path):
         path = tmp_path / "cache.json"
         path.write_text("{truncated")
@@ -198,29 +346,14 @@ class TestSerialRunnerCacheHardening:
             runner = serial_runner(cache_path=path)
         result = runner.run(*matrix_points()[0])
         assert result.ipc > 0
+        assert path.read_text() == "{truncated"
+        assert list((tmp_path / "cache.json.d").glob("shard-*.jsonl"))
 
     def test_non_object_cache_warns(self, tmp_path):
         path = tmp_path / "cache.json"
         path.write_text("[1, 2, 3]")
-        with pytest.warns(RuntimeWarning):
+        with pytest.warns(RuntimeWarning, match="expected a JSON object, got list"):
             serial_runner(cache_path=path)
-
-    def test_batched_flush_is_atomic_and_on_close(self, tmp_path):
-        path = tmp_path / "cache.json"
-        with serial_runner(cache_path=path, flush_every=100) as runner:
-            runner.run(*matrix_points()[0])
-            assert not path.exists()  # batched: not rewritten per point
-        assert path.exists()  # context-manager close flushed
-        assert not path.with_name(path.name + ".tmp").exists()
-        assert json.loads(path.read_text())
-
-    def test_flush_every_triggers_write(self, tmp_path):
-        path = tmp_path / "cache.json"
-        runner = serial_runner(cache_path=path, flush_every=2)
-        runner.run(*matrix_points()[0])
-        assert not path.exists()
-        runner.run(*matrix_points()[1])
-        assert path.exists()
 
 
 class TestStats:

@@ -305,6 +305,31 @@ class TestUntracedIdentity:
                 == by_name["runner.point"]["span_id"])
 
 
+class TestRunnerSpans:
+    def test_pool_batch_and_memory_hit_spans(self):
+        spans = []
+        recorder = SpanRecorder(sink=spans.append)
+        runner = Runner(horizon=HORIZON, warmup=WARMUP, benchmarks=BENCHES, jobs=2)
+        root = recorder.start_span("test.root", component="test")
+        runner.set_trace_context(recorder, root.context())
+        config = build_config(SPECS[0])
+        runner.prefetch([(name, config) for name in BENCHES])
+        runner.run("nw", config)
+        root.end()
+        # a pool batch nests worker-reported points; a memory hit hangs
+        # off the caller's parent.
+        (batch,) = [s for s in spans if s["name"] == "runner.batch"]
+        assert batch["parent_id"] == root.span_id
+        points = [s for s in spans if s["name"] == "runner.point"]
+        pooled = [s for s in points if s["parent_id"] == batch["span_id"]]
+        assert sorted(s["attrs"]["workload"] for s in pooled) == sorted(BENCHES)
+        assert {s["attrs"]["timing"] for s in pooled} == {"worker-reported"}
+        assert {s["attrs"]["outcome"] for s in pooled} == {"simulated"}
+        (hit,) = [s for s in points if s["attrs"]["outcome"] == "memory_hit"]
+        assert hit["parent_id"] == root.span_id
+        assert not [s for s in spans if s["name"] == "runner.simulate"]
+
+
 # ---------------------------------------------------------------------------
 # worker mechanics
 # ---------------------------------------------------------------------------

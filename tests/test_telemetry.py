@@ -10,7 +10,6 @@ import pytest
 from repro.cli import main
 from repro.common.config import TelemetryConfig
 from repro.experiments import designs
-from repro.experiments.parallel import ParallelRunner
 from repro.experiments.runner import Runner, config_key, result_to_dict
 from repro.sim.event import EventQueue
 from repro.sim.gpu import Gpu, simulate
@@ -337,7 +336,7 @@ class TestArtifacts:
             horizon=HORIZON, warmup=WARMUP, telemetry_dir=tmp_path / "serial"
         )
         serial.prefetch(points)
-        parallel = ParallelRunner(
+        parallel = Runner(
             horizon=HORIZON,
             warmup=WARMUP,
             jobs=2,
@@ -354,7 +353,7 @@ class TestArtifacts:
 
     def test_cached_payloads_free_of_telemetry(self, tmp_path):
         config = secure_config(TELEMETRY)
-        runner = ParallelRunner(
+        runner = Runner(
             horizon=HORIZON,
             warmup=WARMUP,
             jobs=1,
