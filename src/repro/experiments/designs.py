@@ -15,7 +15,6 @@ from repro.common.config import (
     EncryptionMode,
     GpuConfig,
     IntegrityMode,
-    MetadataCacheConfig,
     SecureMemoryConfig,
 )
 

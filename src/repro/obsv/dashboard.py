@@ -226,7 +226,7 @@ def _summary_section(
         tiles.append(_tile("sim time", f"{summary['sim_seconds']:.1f}s"))
         if summary["failures"]:
             tiles.append(_tile("failures", _badge("fail") + f" {len(summary['failures'])}"))
-    done_line = next((l for l in reversed(heartbeat) if l.get("event") == "done"), None)
+    done_line = next((h for h in reversed(heartbeat) if h.get("event") == "done"), None)
     if done_line:
         rate = done_line.get("points_per_s")
         if rate:
@@ -241,8 +241,8 @@ def _summary_section(
 def _progress_section(heartbeat: List[dict]) -> str:
     if not heartbeat:
         return _nodata("heartbeat")
-    points = [l for l in heartbeat if l.get("event", "point") == "point"]
-    done_line = next((l for l in reversed(heartbeat) if l.get("event") == "done"), None)
+    points = [h for h in heartbeat if h.get("event", "point") == "point"]
+    done_line = next((h for h in reversed(heartbeat) if h.get("event") == "done"), None)
     last = done_line or (points[-1] if points else heartbeat[-1])
     done, total = last.get("done", 0), last.get("total", 0) or 1
     fraction = done / total

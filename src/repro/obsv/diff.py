@@ -27,7 +27,7 @@ from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.analysis.report import render_table
-from repro.obsv.ledger import ledger_points, read_ledger
+from repro.obsv.ledger import ledger_points
 from repro.telemetry.latency import HOP_E2E, LogHistogram
 
 #: bump when the diff report's field set changes incompatibly.

@@ -6,13 +6,7 @@ from dataclasses import replace
 import pytest
 
 from repro import simulate
-from repro.common.config import (
-    EncryptionMode,
-    GpuConfig,
-    IntegrityMode,
-    MetadataKind,
-    SecureMemoryConfig,
-)
+from repro.common.config import GpuConfig, MetadataKind, SecureMemoryConfig
 from repro.common.stats import StatGroup
 from repro.experiments import designs, figures
 from repro.experiments.runner import Runner

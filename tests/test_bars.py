@@ -39,7 +39,7 @@ class TestRenderBarChart:
 
     def test_autoscale_to_max(self):
         chart = render_bar_chart({"r": {"lo": 1.0, "hi": 2.0}}, width=10)
-        lines = [l for l in chart.splitlines() if "|" in l]
+        lines = [line for line in chart.splitlines() if "|" in line]
         assert lines[1].count("#") == 10
         assert lines[0].count("#") == 5
 
@@ -48,6 +48,6 @@ class TestRenderBarChart:
 
     def test_row_label_only_on_first_line(self):
         chart = render_bar_chart({"bench": {"a": 1.0, "b": 1.0}})
-        lines = [l for l in chart.splitlines() if "|" in l]
+        lines = [line for line in chart.splitlines() if "|" in line]
         assert lines[0].startswith("bench")
         assert not lines[1].startswith("bench")

@@ -2,14 +2,7 @@
 
 import pytest
 
-from repro import (
-    EncryptionMode,
-    GpuConfig,
-    IntegrityMode,
-    MetadataKind,
-    SecureMemoryConfig,
-    simulate,
-)
+from repro import MetadataKind, simulate
 from repro.experiments import designs
 from repro.workloads.suite import get_benchmark
 

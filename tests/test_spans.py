@@ -16,12 +16,12 @@ import urllib.request
 import pytest
 
 from repro.experiments.runner import Runner
-from repro.jobs.store import SQLiteJobStore, iter_points, span_sink
+from repro.jobs.store import SQLiteJobStore, iter_points
 from repro.jobs.service import SweepService
 from repro.jobs.worker import Worker, backoff_jitter, build_config
 from repro.obsv.ledger import canonical_points, ledger_points, read_ledger
 from repro.obsv.logging import NULL_LOG, StructuredLogger, read_log
-from repro.obsv.metrics import MetricsRegistry, snapshot_value
+from repro.obsv.metrics import snapshot_value
 from repro.obsv.spans import (
     NULL_SPAN,
     NULL_SPANS,
