@@ -17,7 +17,9 @@ Durability model — the same one the sharded result cache uses:
 * **resume without duplicates** — a ledger opened over an existing file
   loads the point keys already present and silently skips re-recording
   them, so a killed sweep re-run against the same result cache ends with
-  exactly one record per point;
+  exactly one record per point.  A point whose last record is ``failed``
+  takes one later record, so a retry that succeeds supersedes the
+  failure; readers take the last record per key;
 * **order-independent** — records carry no sequence numbers, and
   :func:`canonical_points` strips the volatile fields (timestamps,
   durations, artifact paths), so a serial and a parallel run of the same
@@ -35,7 +37,7 @@ import time
 import warnings
 from collections import Counter
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Set
+from typing import Dict, Iterable, List, Optional
 
 from repro.common.hostinfo import host_metadata
 
@@ -79,27 +81,20 @@ class RunLedger:
 
     def __init__(self, path: str | Path) -> None:
         self.path = Path(path)
-        self._seen: Set[str] = set()
+        #: the outcome of each point key's last record.
+        self._last: Dict[str, str] = {}
         self._header_written = False
         if self.path.exists():
-            for record in read_ledger(self.path):
-                if record.get("event") == "point":
-                    self._seen.add(
-                        point_key(
-                            record.get("workload", ""),
-                            record.get("config", ""),
-                            record.get("horizon", 0),
-                            record.get("warmup", 0),
-                        )
-                    )
+            for record in ledger_points(read_ledger(self.path)):
+                self._last[_record_key(record)] = record.get("outcome", "")
             # resuming an existing ledger: headers from earlier sessions
             # are already on disk; this process adds its own lazily.
 
     def __contains__(self, key: str) -> bool:
-        return key in self._seen
+        return key in self._last
 
     def __len__(self) -> int:
-        return len(self._seen)
+        return len(self._last)
 
     # ------------------------------------------------------------------
 
@@ -119,6 +114,9 @@ class RunLedger:
     ) -> bool:
         """Append one point record; returns False if the key was present.
 
+        A key whose last record is ``failed`` counts as absent: the retry's
+        record supersedes the failure.
+
         ``outcome`` is one of :data:`OUTCOMES`; ``stats`` is
         :func:`key_stats` output for completed points and None for failed
         ones, where ``error`` carries the exception string instead.
@@ -127,9 +125,9 @@ class RunLedger:
         ledgers (the golden-dump path) keep their exact field set.
         """
         key = point_key(workload, config, horizon, warmup)
-        if key in self._seen:
+        if self._last.get(key, "failed") != "failed":
             return False
-        self._seen.add(key)
+        self._last[key] = outcome
         record = {
             "schema": LEDGER_SCHEMA,
             "event": "point",
@@ -213,15 +211,33 @@ def ledger_points(records: Iterable[dict]) -> List[dict]:
     return [r for r in records if r.get("event") == "point"]
 
 
+def _record_key(record: dict) -> str:
+    return point_key(
+        record.get("workload", ""),
+        record.get("config", ""),
+        record.get("horizon", 0),
+        record.get("warmup", 0),
+    )
+
+
+def latest_points(records: Iterable[dict]) -> List[dict]:
+    """The last point record per point key: later records win a key."""
+    latest: Dict[str, dict] = {}
+    for record in ledger_points(records):
+        latest[_record_key(record)] = record
+    return list(latest.values())
+
+
 def canonical_points(records: Iterable[dict]) -> List[dict]:
-    """Point records stripped of volatile fields, in a canonical order.
+    """Each point's last record stripped of volatile fields, in a canonical
+    order.
 
     Two sweeps over the same matrix are *record-equivalent* when their
     canonical points are equal — regardless of completion order, worker
     count, wall-clock, or where telemetry artifacts landed.
     """
     canon = []
-    for record in ledger_points(records):
+    for record in latest_points(records):
         slim = {k: v for k, v in record.items() if k not in VOLATILE_FIELDS}
         canon.append(slim)
     canon.sort(key=lambda r: (r.get("workload", ""), r.get("config", ""),
@@ -230,8 +246,9 @@ def canonical_points(records: Iterable[dict]) -> List[dict]:
 
 
 def summarize_ledger(records: Iterable[dict]) -> dict:
-    """Per-sweep aggregate: outcome counts, coverage, failures, timing."""
-    points = ledger_points(records)
+    """Per-sweep aggregate over each point's last record: outcome counts,
+    coverage, failures, timing."""
+    points = latest_points(records)
     outcomes = Counter(r.get("outcome", "unknown") for r in points)
     durations = [r["duration_s"] for r in points if r.get("duration_s")]
     timestamps = [r["ts"] for r in points if r.get("ts")]

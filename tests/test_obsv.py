@@ -130,6 +130,32 @@ class TestLedger:
         points = ledger_points(read_ledger(path))
         assert sorted(p["workload"] for p in points) == ["bfs", "lud", "nw"]
 
+    def test_resumed_success_supersedes_failure(self, tmp_path):
+        path = tmp_path / "ledger.jsonl"
+        RunLedger(path).record_point("bfs", "abc", 1000, 500, "failed",
+                                     error="RuntimeError: boom")
+        resumed = RunLedger(path)
+        assert resumed.record_point("bfs", "abc", 1000, 500, "simulated",
+                                    stats={"ipc": 1.0})
+        # a completed key still dedupes, whatever the later outcome.
+        assert not resumed.record_point("bfs", "abc", 1000, 500, "cached")
+        assert not resumed.record_point("bfs", "abc", 1000, 500, "failed")
+        records = read_ledger(path)
+        assert [p["outcome"] for p in ledger_points(records)] == ["failed", "simulated"]
+        summary = summarize_ledger(records)
+        assert summary["failures"] == []
+        assert summary["points"] == 1 and summary["outcomes"] == {"simulated": 1}
+        assert [p["outcome"] for p in canonical_points(records)] == ["simulated"]
+
+    def test_retry_in_one_ledger_supersedes_failure(self, tmp_path):
+        ledger = RunLedger(tmp_path / "ledger.jsonl")
+        assert ledger.record_point("bfs", "abc", 1000, 500, "failed")
+        assert ledger.record_point("bfs", "abc", 1000, 500, "failed")
+        assert ledger.record_point("bfs", "abc", 1000, 500, "simulated")
+        assert not ledger.record_point("bfs", "abc", 1000, 500, "simulated")
+        summary = summarize_ledger(read_ledger(tmp_path / "ledger.jsonl"))
+        assert summary["outcomes"] == {"simulated": 1}
+
     def test_summarize(self):
         records = [
             synthetic_point("nw"),
