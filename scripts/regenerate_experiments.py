@@ -260,7 +260,7 @@ are smaller than the pool.  `--stats-json PATH` exports points/sec, cache
 hit-rate and per-phase wall time.
 
 Any point here can be re-examined under the telemetry subsystem
-(`python -m repro trace <bench> --design <name>`): it emits a Chrome
+(`python -m repro run <bench> --design <name> --trace DIR`): it emits a Chrome
 `trace_event` file (chrome://tracing / Perfetto), an epoch time-series of
 MSHR occupancy, DRAM backlog and crypto-engine utilization, and the
 per-traffic-class (DATA/COUNTER/MAC/TREE) byte breakdown whose shares are

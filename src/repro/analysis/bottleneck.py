@@ -6,7 +6,7 @@ go — DRAM queueing (bandwidth contention, the paper's answer), DRAM
 service, crypto serialization, MSHR waits, or back-pressure — and does
 the per-class byte accounting conserve against the DRAM statistics?
 
-Consumed by the ``repro bottleneck`` CLI subcommand and the tests that
+Consumed by ``repro run --bottleneck``, the dashboard, and the tests that
 demonstrate the Section-V conclusions from measured queueing/service
 splits instead of IPC deltas.
 """
@@ -141,7 +141,7 @@ def render_bottleneck_report(
     latency_export: Mapping,
     class_bytes: Optional[Mapping[str, float]] = None,
 ) -> str:
-    """The full plain-text ``repro bottleneck`` report.
+    """The full plain-text ``repro run --bottleneck`` report.
 
     Per-hop queueing-vs-service table, top stall causes, the dominant
     overhead component, the per-class traffic breakdown, and (when

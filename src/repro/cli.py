@@ -3,11 +3,10 @@
 Commands
 --------
 
-``run``        simulate one workload on one design and print the result
-``profile``    run one point under cProfile and print the hottest functions
-``trace``      run one workload with telemetry and export a Chrome trace
-``bottleneck`` latency decomposition: per-hop queueing/service + stall causes
-``stats``      dump the full statistics tree for one run (``--json`` for tools)
+``run``        simulate one workload on one design and print the result;
+               ``--stats`` adds the statistics tree, ``--bottleneck`` the
+               latency decomposition, ``--trace DIR`` telemetry artifacts,
+               and ``--json`` prints it all as one document
 ``sweep``      run all 14 workloads on one design (optionally normalized);
                ``--store`` submits to a shared job store and drains it
 ``bench``      benchmark the simulation core (``--check`` guards against
@@ -37,19 +36,14 @@ from pathlib import Path
 from typing import List, Optional
 
 import repro
+from repro.analysis.bottleneck import dominant_overhead, render_bottleneck_report
 from repro.analysis.report import render_series_table, render_traffic_breakdown
-from repro.common.config import GpuConfig, MetadataKind, TelemetryConfig
+from repro.common.config import GpuConfig, MetadataKind, TelemetryConfig, check_window
 from repro.experiments import designs as design_mod
 from repro.experiments import figures
 from repro.experiments.designs import DESIGNS
-from repro.experiments.runner import Runner, gmean
-from repro.secure import layout as layout_mod
-from repro.secure import merkle
-from repro.secure.engine import _PARENT_MEMOS
-from repro.sim.cache import _index_geometry
-from repro.sim.gpu import simulate
-from repro.telemetry import write_artifacts
-from repro.workloads.suite import BENCHMARK_ORDER, get_benchmark
+from repro.experiments.runner import Runner, config_key, gmean, result_to_dict
+from repro.workloads.suite import BENCHMARK_ORDER
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -64,117 +58,48 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_scale(p):
+    def add_scale(p, jobs=True):
         p.add_argument("--partitions", type=int, default=4)
         p.add_argument("--horizon", type=float, default=10_000)
         p.add_argument("--warmup", type=float, default=30_000)
-        p.add_argument(
-            "--jobs",
-            type=int,
-            default=1,
-            help="worker processes for independent simulation points "
-            "(0 = all cores; 1 = serial)",
-        )
+        if jobs:
+            p.add_argument(
+                "--jobs",
+                type=int,
+                default=1,
+                help="worker processes for independent simulation points "
+                "(0 = all cores; 1 = serial)",
+            )
 
-    run = sub.add_parser("run", help="simulate one workload on one design")
+    run = sub.add_parser(
+        "run",
+        help="simulate one workload on one design; flags add views of the result",
+    )
     run.add_argument("workload", choices=BENCHMARK_ORDER)
     run.add_argument("--design", choices=sorted(DESIGNS), default="secureMem_mshr64")
+    add_scale(run, jobs=False)
     run.add_argument(
-        "--warm-state",
+        "--stats", action="store_true", help="also print the full statistics tree"
+    )
+    run.add_argument(
+        "--bottleneck",
         action="store_true",
-        help="after the run, print the process-wide secure-geometry warm "
-        "state (memoized layouts, address translations, tree parents)",
+        help="also print the latency decomposition: per-hop queueing/service, "
+        "stall causes and the dominant overhead component",
     )
-    add_scale(run)
-
-    profile = sub.add_parser(
-        "profile", help="run one simulation point under cProfile"
-    )
-    profile.add_argument("workload", choices=BENCHMARK_ORDER)
-    profile.add_argument(
-        "--design", choices=sorted(DESIGNS), default="secureMem_mshr64"
-    )
-    profile.add_argument(
-        "--top", type=int, default=25, help="functions to print (by cumulative time)"
-    )
-    profile.add_argument(
-        "--sort",
-        choices=["cumulative", "cumtime", "tottime", "ncalls"],
-        default="cumulative",
-        help="pstats sort order (cumtime is an alias for cumulative)",
-    )
-    profile.add_argument(
-        "--json",
+    run.add_argument(
+        "--trace",
         default=None,
-        metavar="PATH",
-        help="also write the profile rows as machine-readable JSON",
+        metavar="DIR",
+        help="record full telemetry and write its artifacts (Chrome trace, "
+        "samples, latency, summary) to DIR/<workload>-<config digest>/",
     )
-    add_scale(profile)
-
-    trace = sub.add_parser(
-        "trace", help="run one workload with telemetry and export a Chrome trace"
-    )
-    trace.add_argument("workload", choices=BENCHMARK_ORDER)
-    trace.add_argument("--design", choices=sorted(DESIGNS), default="secureMem_mshr64")
-    trace.add_argument(
-        "--out",
-        default=None,
-        help="artifact directory (default results/trace/<workload>-<design>/)",
-    )
-    trace.add_argument(
-        "--ring", type=int, default=65536, help="event ring-buffer capacity"
-    )
-    trace.add_argument(
-        "--sample-every",
-        type=float,
-        default=500.0,
-        help="gauge sampling epoch in cycles (0 disables sampling)",
-    )
-    trace.add_argument(
-        "--json",
-        default=None,
-        metavar="PATH",
-        help="also write a machine-readable trace summary (class bytes, "
-        "event/sample counts) to this file",
-    )
-    add_scale(trace)
-
-    bottleneck = sub.add_parser(
-        "bottleneck",
-        help="latency decomposition: per-hop queueing/service and stall causes",
-    )
-    bottleneck.add_argument("workload", choices=BENCHMARK_ORDER)
-    bottleneck.add_argument(
-        "--design", choices=sorted(DESIGNS), default="secureMem_mshr64"
-    )
-    bottleneck.add_argument(
-        "--out",
-        default=None,
-        help="also write telemetry artifacts (latency.json et al.) to this "
-        "directory (default: print only)",
-    )
-    bottleneck.add_argument(
-        "--json",
-        nargs="?",
-        const="-",
-        default=None,
-        metavar="PATH",
-        help="emit the latency export as JSON: to stdout (bare --json, "
-        "instead of the table report) or to PATH (table still printed)",
-    )
-    add_scale(bottleneck)
-
-    stats = sub.add_parser(
-        "stats", help="dump the full statistics tree for one run"
-    )
-    stats.add_argument("workload", choices=BENCHMARK_ORDER)
-    stats.add_argument("--design", choices=sorted(DESIGNS), default="secureMem_mshr64")
-    stats.add_argument(
+    run.add_argument(
         "--json",
         action="store_true",
-        help="machine-readable JSON with stable sorted keys",
+        help="print one JSON document instead of text: the result, plus "
+        "'stats', 'latency' and 'artifacts' for the views asked for",
     )
-    add_scale(stats)
 
     sweep = sub.add_parser("sweep", help="all 14 workloads on one design")
     sweep.add_argument("--design", choices=sorted(DESIGNS), default="secureMem_mshr64")
@@ -486,16 +411,11 @@ def _build_parser() -> argparse.ArgumentParser:
         help="scorecard.json (repro scorecard --json)",
     )
     dashboard.add_argument(
-        "--bottleneck",
+        "--telemetry",
         default=None,
-        metavar="PATH",
-        help="latency export JSON (repro bottleneck --json PATH)",
-    )
-    dashboard.add_argument(
-        "--trace",
-        default=None,
-        metavar="PATH",
-        help="trace summary JSON (repro trace --json PATH)",
+        metavar="DIR",
+        help="one point's telemetry artifacts (repro run --trace): latency.json "
+        "feeds the bottleneck section, summary.json the traffic section",
     )
     dashboard.add_argument(
         "--bench",
@@ -514,11 +434,37 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_run(args) -> int:
-    secure = DESIGNS[args.design]()
-    config = design_mod.build_gpu(secure, num_partitions=args.partitions)
-    result = simulate(
-        config, get_benchmark(args.workload), horizon=args.horizon, warmup=args.warmup
+    config = design_mod.build_named_gpu(args.design, args.partitions)
+    if args.trace:
+        config = dataclasses.replace(config, telemetry=TelemetryConfig(enabled=True))
+    elif args.bottleneck:
+        # only the latency recorder is needed: leave the event ring and the
+        # sampler off so the report costs no trace memory.
+        config = dataclasses.replace(
+            config,
+            telemetry=TelemetryConfig(
+                enabled=True, trace_events=False, sample_every=0.0, latency_histograms=True
+            ),
+        )
+    # a one-point batch with no result cache always simulates, so the result
+    # carries its statistics tree and telemetry export.
+    runner = Runner(horizon=args.horizon, warmup=args.warmup, telemetry_dir=args.trace)
+    result = runner.run(args.workload, config)
+    export = result.telemetry
+    # where the runner writes a point's artifacts under its telemetry_dir.
+    artifacts = (
+        Path(args.trace) / f"{args.workload}-{config_key(config)[:12]}" if args.trace else None
     )
+    if args.json:
+        doc = result_to_dict(result)
+        if args.stats:
+            doc["stats"] = result.stats.to_dict()
+        if args.bottleneck:
+            doc["latency"] = export["latency"]
+        if artifacts:
+            doc["artifacts"] = str(artifacts)
+        print(json.dumps(doc, sort_keys=True, indent=2))
+        return 0
     print(f"workload          {args.workload}")
     print(f"design            {args.design}")
     print(f"IPC               {result.ipc:.2f}")
@@ -532,211 +478,27 @@ def _cmd_run(args) -> int:
                 f"{kind.value} miss rate     {result.metadata_miss_rate(kind):.1%} "
                 f"(secondary {result.secondary_miss_ratio(kind):.1%})"
             )
-    if args.warm_state:
+    if args.stats:
         print()
-        for key, value in _warm_state().items():
-            print(f"warm {key:24s} {value}")
-    return 0
-
-
-def _warm_state() -> dict:
-    """Summary of the process-wide cross-point warm state.
-
-    Reports the shared secure-geometry memos the simulator keeps warm
-    across the points one process executes: layout instances and their
-    address-translation LRUs, tree-parent maps, and the shared cache
-    index-geometry table.  Purely observational — reading it never touches
-    simulated state.  In a process pool each worker accumulates its own.
-    """
-    layouts = layout_mod.shared_layout.cache_info()
-    translations = 0
-    for shared in layout_mod.shared_layouts():
-        for memo in (
-            shared.counter_block_addr,
-            shared.mac_block_addr,
-            shared.bmt_path_addrs,
-            shared.mt_path_addrs,
-        ):
-            translations += memo.cache_info().currsize
-    return {
-        "layouts": layouts.currsize,
-        "layout_reuses": layouts.hits,
-        "address_translations": translations,
-        "tree_parent_entries": sum(len(m) for m in _PARENT_MEMOS.values()),
-        "tree_geometries": (
-            merkle.bmt_geometry.cache_info().currsize
-            + merkle.mt_geometry.cache_info().currsize
-        ),
-        "cache_index_geometries": _index_geometry.cache_info().currsize,
-    }
-
-
-def _cmd_profile(args) -> int:
-    import cProfile
-    import pstats
-
-    secure = DESIGNS[args.design]()
-    config = design_mod.build_gpu(secure, num_partitions=args.partitions)
-    workload = get_benchmark(args.workload)
-    profiler = cProfile.Profile()
-    profiler.enable()
-    result = simulate(config, workload, horizon=args.horizon, warmup=args.warmup)
-    profiler.disable()
-    print(f"workload          {args.workload}")
-    print(f"design            {args.design}")
-    print(f"IPC               {result.ipc:.2f}")
-    print(f"events processed  {result.events_processed}")
-    print()
-    sort = "cumulative" if args.sort == "cumtime" else args.sort
-    stats = pstats.Stats(profiler, stream=sys.stdout)
-    stats.strip_dirs().sort_stats(sort).print_stats(args.top)
-    if args.json:
-        _write_profile_json(args, result, stats, sort)
-        print(f"profile json      {args.json}")
-    return 0
-
-
-def _write_profile_json(args, result, stats, sort: str) -> None:
-    """Persist the profile as rows of per-function timings (sorted)."""
-    sort_index = {"cumulative": "cumtime", "tottime": "tottime", "ncalls": "ncalls"}[sort]
-    rows = []
-    for (filename, lineno, func), (cc, nc, tt, ct, _callers) in stats.stats.items():
-        rows.append(
-            {
-                "function": func,
-                "file": filename,
-                "line": lineno,
-                "ncalls": nc,
-                "primitive_calls": cc,
-                "tottime": tt,
-                "cumtime": ct,
-            }
-        )
-    rows.sort(key=lambda r: (-(r[sort_index] if sort_index != "ncalls" else r["ncalls"]),
-                             r["file"], r["line"]))
-    doc = {
-        "workload": args.workload,
-        "design": args.design,
-        "horizon": args.horizon,
-        "warmup": args.warmup,
-        "ipc": result.ipc,
-        "events_processed": result.events_processed,
-        "sort": sort,
-        "rows": rows[: max(args.top, 0) or len(rows)],
-    }
-    path = Path(args.json)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n")
-
-
-def _cmd_trace(args) -> int:
-    secure = DESIGNS[args.design]()
-    config = design_mod.build_gpu(secure, num_partitions=args.partitions)
-    config = dataclasses.replace(
-        config,
-        telemetry=TelemetryConfig(
-            enabled=True, ring_capacity=args.ring, sample_every=args.sample_every
-        ),
-    )
-    result = simulate(
-        config, get_benchmark(args.workload), horizon=args.horizon, warmup=args.warmup
-    )
-    out = (
-        Path(args.out)
-        if args.out
-        else Path("results") / "trace" / f"{args.workload}-{args.design}"
-    )
-    write_artifacts(out, result.telemetry)
-    export = result.telemetry
-    print(f"workload          {args.workload}")
-    print(f"design            {args.design}")
-    print(f"IPC               {result.ipc:.2f}")
-    print()
-    print(render_traffic_breakdown(export["meta"]["class_bytes"]))
-    print()
-    print(
-        f"events            {len(export['events'])} recorded, "
-        f"{export['events_dropped']} dropped (ring {export['ring_capacity']})"
-    )
-    print(f"samples           {len(export['samples']['cycle'])} epochs")
-    print(f"artifacts         {out}")
-    print("open trace.json in chrome://tracing or https://ui.perfetto.dev")
-    if args.json:
-        doc = {
-            "workload": args.workload,
-            "design": args.design,
-            "horizon": args.horizon,
-            "warmup": args.warmup,
-            "ipc": result.ipc,
-            "bandwidth_utilization": result.bandwidth_utilization,
-            "class_bytes": dict(export["meta"]["class_bytes"]),
-            "events": len(export["events"]),
-            "events_dropped": export["events_dropped"],
-            "samples": len(export["samples"]["cycle"]),
-            "artifacts": str(out),
-        }
-        path = Path(args.json)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n")
-        print(f"trace json        {path}")
-    return 0
-
-
-def _cmd_bottleneck(args) -> int:
-    from repro.analysis.bottleneck import dominant_overhead, render_bottleneck_report
-
-    secure = DESIGNS[args.design]()
-    config = design_mod.build_gpu(secure, num_partitions=args.partitions)
-    # only the latency recorder is needed: leave the event ring and the
-    # sampler off so the report costs no trace memory.
-    config = dataclasses.replace(
-        config,
-        telemetry=TelemetryConfig(
-            enabled=True, trace_events=False, sample_every=0.0, latency_histograms=True
-        ),
-    )
-    result = simulate(
-        config, get_benchmark(args.workload), horizon=args.horizon, warmup=args.warmup
-    )
-    export = result.telemetry
-    latency = export["latency"]
-    class_bytes = export["meta"]["class_bytes"]
-    if args.json == "-":
-        print(json.dumps(latency, sort_keys=True, indent=2))
-        return 0
-    if args.json:
-        path = Path(args.json)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(json.dumps(latency, sort_keys=True, indent=2) + "\n")
-    print(f"workload          {args.workload}")
-    print(f"design            {args.design}")
-    print(f"IPC               {result.ipc:.2f}")
-    print(f"bandwidth util    {result.bandwidth_utilization:.1%}")
-    print()
-    print(render_bottleneck_report(latency, class_bytes))
-    dominant = dominant_overhead(latency)
-    if dominant:
-        print()
-        print(f"dominant overhead component: {dominant}")
-    if args.out:
-        out = Path(args.out)
-        write_artifacts(out, export)
-        print(f"artifacts         {out}")
-    if args.json and args.json != "-":
-        print(f"latency json      {args.json}")
-    return 0
-
-
-def _cmd_stats(args) -> int:
-    secure = DESIGNS[args.design]()
-    config = design_mod.build_gpu(secure, num_partitions=args.partitions)
-    result = simulate(
-        config, get_benchmark(args.workload), horizon=args.horizon, warmup=args.warmup
-    )
-    if args.json:
-        print(json.dumps(result.stats.to_dict(), sort_keys=True, indent=2))
-    else:
         print(result.stats.render())
+    if args.bottleneck:
+        print()
+        print(render_bottleneck_report(export["latency"], export["meta"]["class_bytes"]))
+        dominant = dominant_overhead(export["latency"])
+        if dominant:
+            print()
+            print(f"dominant overhead component: {dominant}")
+    if artifacts:
+        print()
+        print(render_traffic_breakdown(export["meta"]["class_bytes"]))
+        print()
+        print(
+            f"events            {len(export['events'])} recorded, "
+            f"{export['events_dropped']} dropped (ring {export['ring_capacity']})"
+        )
+        print(f"samples           {len(export['samples']['cycle'])} epochs")
+        print(f"artifacts         {artifacts}")
+        print("open trace.json in chrome://tracing or https://ui.perfetto.dev")
     return 0
 
 
@@ -1184,7 +946,7 @@ def _cmd_diff(args) -> int:
 
 
 def _cmd_dashboard(args) -> int:
-    from repro.obsv.dashboard import build_dashboard, load_json, load_jsonl
+    from repro.obsv.dashboard import build_dashboard, load_json, load_jsonl, load_telemetry
     from repro.obsv.ledger import read_ledger
 
     bench_paths = (
@@ -1205,19 +967,19 @@ def _cmd_dashboard(args) -> int:
             ("ledger", args.ledger),
             ("heartbeat", args.heartbeat),
             ("scorecard", args.scorecard),
-            ("bottleneck", args.bottleneck),
-            ("trace", args.trace),
+            ("telemetry", args.telemetry),
         )
         if value
     }
     sources.update(bench_sources)
+    latency, class_bytes = load_telemetry(args.telemetry)
     html_text = build_dashboard(
         title=args.title,
         ledger_records=read_ledger(args.ledger) if args.ledger else None,
         heartbeat_lines=load_jsonl(args.heartbeat),
         scorecard=load_json(args.scorecard),
-        bottleneck=load_json(args.bottleneck),
-        trace=load_json(args.trace),
+        latency=latency,
+        class_bytes=class_bytes,
         bench=bench,
         sources=sources,
     )
@@ -1287,16 +1049,14 @@ def main(argv: Optional[List[str]] = None) -> int:
         except ValueError as exc:
             print(f"error: --partitions {partitions}: {exc}", file=sys.stderr)
             return 2
+    try:
+        check_window(getattr(args, "horizon", None), getattr(args, "warmup", None))
+    except ValueError as exc:
+        # the message starts with the bound's name, which is also its flag.
+        print(f"error: --{exc}", file=sys.stderr)
+        return 2
     if args.command == "run":
         return _cmd_run(args)
-    if args.command == "profile":
-        return _cmd_profile(args)
-    if args.command == "trace":
-        return _cmd_trace(args)
-    if args.command == "bottleneck":
-        return _cmd_bottleneck(args)
-    if args.command == "stats":
-        return _cmd_stats(args)
     if args.command == "sweep":
         return _cmd_sweep(args)
     if args.command == "bench":

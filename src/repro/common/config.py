@@ -9,6 +9,7 @@ event simulation finishes in seconds per data point.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field, replace
 
 from repro.common import params
@@ -256,7 +257,7 @@ class TelemetryConfig:
     sample_every: float = 500.0
     #: hard cap on sampler rows, a runaway guard for huge horizons.
     max_samples: int = 100_000
-    #: per-hop latency histograms and stall accounting (repro bottleneck).
+    #: per-hop latency histograms and stall accounting (repro run --bottleneck).
     latency_histograms: bool = True
 
     def __post_init__(self) -> None:
@@ -372,3 +373,15 @@ class GpuConfig:
         if secure is not None:
             kwargs["secure"] = secure
         return cls(**kwargs)
+
+
+def check_window(horizon: float | None = None, warmup: float | None = None) -> None:
+    """The rule for a measurement window: a finite ``horizon`` > 0 and a
+    finite ``warmup`` >= 0.  A bound passed as None is not checked.
+
+    Raises :class:`ValueError` as ``"<bound> <value>: <rule>"``.
+    """
+    if horizon is not None and not (math.isfinite(horizon) and horizon > 0):
+        raise ValueError(f"horizon {horizon:g}: must be a finite number > 0")
+    if warmup is not None and not (math.isfinite(warmup) and warmup >= 0):
+        raise ValueError(f"warmup {warmup:g}: must be a finite number >= 0")

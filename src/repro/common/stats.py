@@ -96,7 +96,7 @@ class StatGroup:
 
     def to_dict(self) -> dict:
         """JSON-able snapshot of the whole subtree, keys sorted at every
-        level — byte-stable output for ``repro stats --json`` and tests."""
+        level — byte-stable output for ``repro run --stats --json`` and tests."""
         return {
             "name": self.name,
             "counters": {key: self._counters[key] for key in sorted(self._counters)},

@@ -81,6 +81,7 @@ from urllib.parse import parse_qs
 
 import repro
 from repro.common import params
+from repro.common.config import check_window
 from repro.experiments.designs import DESIGNS, build_named_gpu
 from repro.experiments.runner import result_from_dict
 from repro.jobs.store import SQLiteJobStore, iter_points
@@ -231,8 +232,9 @@ def validate_submission(body: dict) -> Tuple[List[Tuple[str, dict]], dict]:
         max_attempts = int(body.get("max_attempts", 3))
     except (TypeError, ValueError):
         raise ValueError("'horizon'/'warmup'/'max_attempts' must be numbers") from None
-    if partitions < 1 or horizon <= 0 or warmup < 0 or max_attempts < 1:
+    if partitions < 1 or max_attempts < 1:
         raise ValueError("scale parameters out of range")
+    check_window(horizon, warmup)
     # the config's own checks (a power-of-two partition count): a point
     # whose model cannot be built is refused here, not failed in a worker.
     build_named_gpu(designs[0], partitions)

@@ -19,7 +19,7 @@ from __future__ import annotations
 import html
 import json
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.obsv.ledger import ledger_points, summarize_ledger
 
@@ -366,15 +366,15 @@ def _ledger_section(summary: Optional[dict], records: List[dict]) -> str:
     return "".join(parts)
 
 
-def _traffic_section(records: List[dict], trace: Optional[dict]) -> str:
+def _traffic_section(records: List[dict], class_bytes: Optional[dict]) -> str:
     shares: Dict[str, float] = {}
     source = ""
-    if trace and trace.get("class_bytes"):
-        # trace-export bytes use upper-case class names (DATA/COUNTER/...).
+    if class_bytes:
+        # telemetry bytes use upper-case class names (DATA/COUNTER/...).
         alias = {"DATA": "data", "COUNTER": "ctr", "MAC": "mac", "TREE": "bmt"}
-        for name, value in trace["class_bytes"].items():
+        for name, value in class_bytes.items():
             shares[alias.get(name, name.lower())] = float(value)
-        source = "from trace export (DRAM bytes by class)"
+        source = "from telemetry artifacts (DRAM bytes by class)"
     else:
         for record in ledger_points(records):
             txn = (record.get("stats") or {}).get("dram_txn") or {}
@@ -466,16 +466,16 @@ def _timeline_section(spans: Optional[List[dict]]) -> str:
     return "".join(parts) + f'<div class="legend">{legend}</div>' + note + cap_note
 
 
-def _bottleneck_section(bottleneck: Optional[dict]) -> str:
-    if not bottleneck:
+def _bottleneck_section(latency: Optional[dict]) -> str:
+    if not latency:
         return _nodata("bottleneck")
     from repro.analysis.bottleneck import dominant_overhead, stall_rows
 
-    rows = stall_rows(bottleneck)
+    rows = stall_rows(latency)
     if not rows:
         return _nodata("stall")
     top = max(r["cycles"] for r in rows) or 1.0
-    dominant = dominant_overhead(bottleneck)
+    dominant = dominant_overhead(latency)
     body_rows = [
         [
             _esc(r["cause"]),
@@ -527,14 +527,18 @@ def build_dashboard(
     ledger_records: Optional[List[dict]] = None,
     heartbeat_lines: Optional[List[dict]] = None,
     scorecard: Optional[dict] = None,
-    bottleneck: Optional[dict] = None,
-    trace: Optional[dict] = None,
+    latency: Optional[dict] = None,
+    class_bytes: Optional[dict] = None,
     bench: Optional[Dict[str, dict]] = None,
     fleet: Optional[List[dict]] = None,
     spans: Optional[List[dict]] = None,
     sources: Optional[Dict[str, str]] = None,
 ) -> str:
-    """Render the complete dashboard; every argument is optional."""
+    """Render the complete dashboard; every argument is optional.
+
+    ``latency`` and ``class_bytes`` describe one point, as
+    :func:`load_telemetry` reads them from its artifacts.
+    """
     records = ledger_records or []
     heartbeat = heartbeat_lines or []
     summary = summarize_ledger(records) if records else None
@@ -546,8 +550,8 @@ def build_dashboard(
         "fleet": _fleet_section(fleet),
         "scorecard": _scorecard_section(scorecard),
         "ledger": _ledger_section(summary, records),
-        "traffic": _traffic_section(records, trace),
-        "bottleneck": _bottleneck_section(bottleneck),
+        "traffic": _traffic_section(records, class_bytes),
+        "bottleneck": _bottleneck_section(latency),
         "bench": _bench_section(bench or {}),
     }
     titles = {
@@ -599,6 +603,19 @@ def load_json(path: Optional[str | Path]) -> Optional[dict]:
     except (ValueError, OSError):
         return None
     return doc if isinstance(doc, dict) else None
+
+
+def load_telemetry(
+    directory: Optional[str | Path],
+) -> Tuple[Optional[dict], Optional[dict]]:
+    """One point's latency export and DRAM bytes by class, read from the
+    ``latency.json`` and ``summary.json`` of its telemetry artifacts;
+    (None, None) without a directory."""
+    if not directory:
+        return None, None
+    latency = (load_json(Path(directory) / "latency.json") or {}).get("latency")
+    meta = (load_json(Path(directory) / "summary.json") or {}).get("meta") or {}
+    return latency, meta.get("class_bytes")
 
 
 def load_jsonl(path: Optional[str | Path]) -> List[dict]:

@@ -188,16 +188,4 @@ def shared_layout(protected_bytes: int) -> MetadataLayout:
     re-deriving them from cold caches.  (Workers of a process pool each
     warm their own instance — the memo is per process.)
     """
-    layout = MetadataLayout(protected_bytes)
-    _SHARED_LAYOUTS.append(layout)
-    return layout
-
-
-#: live shared instances, enumerable for warm-state introspection
-#: (``lru_cache`` exposes no key iterator).
-_SHARED_LAYOUTS: list = []
-
-
-def shared_layouts() -> Tuple[MetadataLayout, ...]:
-    """The layouts currently shared process-wide (diagnostics only)."""
-    return tuple(_SHARED_LAYOUTS)
+    return MetadataLayout(protected_bytes)

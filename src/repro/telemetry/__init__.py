@@ -13,7 +13,7 @@ Section V, which this subsystem turns into queryable artifacts):
   TREE attribution of every DRAM byte;
 * :class:`~repro.telemetry.latency.LatencyRecorder` — per-hop × per-class
   log-bucketed latency histograms (queueing vs. service) plus stall-cycle
-  accounting, the raw material of ``repro bottleneck``.
+  accounting, the raw material of ``repro run --bottleneck``.
 
 Everything is off by default (``GpuConfig.telemetry``); the disabled path
 uses no-op stubs and changes neither timing nor statistics.

@@ -1,5 +1,7 @@
 """Command-line interface."""
 
+import dataclasses
+import json
 import os
 import subprocess
 import sys
@@ -9,6 +11,12 @@ import pytest
 
 import repro
 from repro.cli import DESIGNS, main
+from repro.common.config import TelemetryConfig
+from repro.experiments.designs import build_named_gpu
+from repro.experiments.runner import result_to_dict
+from repro.sim.gpu import simulate
+from repro.telemetry import ARTIFACT_NAMES
+from repro.workloads.suite import get_benchmark
 
 FAST = ["--horizon", "1200", "--warmup", "800", "--partitions", "2"]
 
@@ -56,23 +64,21 @@ class TestRun:
         out = capsys.readouterr().out
         assert "mac miss rate" in out
 
-    def test_warm_state_prints_every_key(self, capsys):
-        argv = ["run", "nw", "--design", "secureMem_mshr64", "--warm-state", *FAST]
+    def test_every_view_in_one_json_document(self, tmp_path, capsys):
+        argv = ["run", "bfs", "--design", "ctr_mac_bmt", "--stats", "--bottleneck",
+                "--trace", str(tmp_path), "--json", *FAST]
         assert main(argv) == 0
-        warm = dict(
-            line.split()[1:]
-            for line in capsys.readouterr().out.splitlines()
-            if line.startswith("warm ")
+        doc = json.loads(capsys.readouterr().out)
+        config = dataclasses.replace(
+            build_named_gpu("ctr_mac_bmt", 2), telemetry=TelemetryConfig(enabled=True)
         )
-        assert set(warm) == {
-            "layouts",
-            "layout_reuses",
-            "address_translations",
-            "tree_parent_entries",
-            "tree_geometries",
-            "cache_index_geometries",
-        }
-        assert int(warm["layouts"]) >= 1
+        result = simulate(config, get_benchmark("bfs"), horizon=1200, warmup=800)
+        expected = json.loads(json.dumps(result_to_dict(result)))
+        assert {k: doc[k] for k in expected} == expected
+        assert doc["stats"] == result.stats.to_dict()
+        assert doc["latency"] == json.loads(json.dumps(result.telemetry["latency"]))
+        for name in ARTIFACT_NAMES:
+            assert (Path(doc["artifacts"]) / name).is_file()
 
     def test_rejects_unknown_workload(self):
         with pytest.raises(SystemExit):
@@ -92,6 +98,25 @@ class TestRun:
         err = capsys.readouterr().err
         assert err.startswith("error: --partitions 3: ")
         assert "power of two" in err and err.count("\n") == 1
+
+    @pytest.mark.parametrize("command", [
+        ["run", "nw"],
+        ["sweep", "--bench", "nw"],
+        ["scorecard", "--profile", "smoke"],
+    ])
+    @pytest.mark.parametrize("flag, value", [
+        ("--horizon", "-100"),
+        ("--horizon", "0"),
+        ("--horizon", "inf"),
+        ("--horizon", "nan"),
+        ("--warmup", "-5000"),
+        ("--warmup", "inf"),
+    ])
+    def test_bad_window_one_error_line_exit_2(self, command, flag, value, capsys):
+        assert main([*command, "--partitions", "2", flag, value]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {flag} {value}: must be a finite number ")
+        assert err.count("\n") == 1
 
 
 class TestFigure:
@@ -227,8 +252,6 @@ class TestBench:
         assert callable(harness.regression_guard)
 
     def test_bench_writes_json_and_guards(self, tmp_path, monkeypatch):
-        import json
-
         from repro import cli
 
         harness = cli._load_perf_smoke()

@@ -488,6 +488,11 @@ class TestService:
             {"workloads": []},
             {"partitions": "many"},
             {"horizon": -1},
+            # windows float() accepts but no simulation can run: an
+            # overflow to inf, NaN (which fails no comparison) and inf.
+            {"horizon": "1e400"},
+            {"horizon": float("nan")},
+            {"warmup": float("inf")},
             # counts no GpuConfig accepts (3), that are no integer (4.9), and
             # far beyond the paper GPU (100000: 250,000 SMs in a worker).
             {"partitions": 3},

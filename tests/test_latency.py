@@ -401,7 +401,7 @@ class TestCli:
         assert (
             main(
                 [
-                    "bottleneck", "bfs",
+                    "run", "bfs", "--bottleneck",
                     "--partitions", str(PARTITIONS),
                     "--horizon", str(HORIZON),
                     "--warmup", str(WARMUP),
@@ -418,7 +418,7 @@ class TestCli:
         assert (
             main(
                 [
-                    "bottleneck", "bfs",
+                    "run", "bfs", "--bottleneck",
                     "--partitions", str(PARTITIONS),
                     "--horizon", "1200", "--warmup", "800",
                     "--json",
@@ -427,27 +427,4 @@ class TestCli:
             == 0
         )
         doc = json.loads(capsys.readouterr().out)
-        assert "hops" in doc and "stalls" in doc
-
-    def test_profile_json_and_sort_alias(self, tmp_path, capsys):
-        out_json = tmp_path / "profile.json"
-        assert (
-            main(
-                [
-                    "profile", "nw",
-                    "--design", "direct_40",
-                    "--horizon", "1200", "--warmup", "800",
-                    "--partitions", str(PARTITIONS),
-                    "--top", "5",
-                    "--sort", "cumtime",
-                    "--json", str(out_json),
-                ]
-            )
-            == 0
-        )
-        doc = json.loads(out_json.read_text())
-        assert doc["workload"] == "nw"
-        assert doc["sort"] == "cumulative"
-        assert len(doc["rows"]) == 5
-        for row in doc["rows"]:
-            assert {"function", "ncalls", "tottime", "cumtime"} <= set(row)
+        assert "hops" in doc["latency"] and "stalls" in doc["latency"]

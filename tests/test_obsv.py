@@ -85,6 +85,17 @@ def synthetic_point(workload, config="cfgdigest", ipc=1.0, outcome="simulated",
     return record
 
 
+def point_artifacts(tmp_path, workload, design):
+    """Telemetry artifacts of one point, written by ``repro run --trace``."""
+    root = tmp_path / "telemetry"
+    assert main([
+        "run", workload, "--design", design, "--partitions", "2",
+        "--horizon", str(HORIZON), "--warmup", str(WARMUP), "--trace", str(root),
+    ]) == 0
+    (directory,) = root.glob(f"{workload}-*")
+    return directory
+
+
 # ---------------------------------------------------------------------------
 # ledger
 # ---------------------------------------------------------------------------
@@ -513,17 +524,23 @@ class TestCli:
     def test_dashboard_writes_self_contained_html(self, tmp_path, capsys):
         ledger = tmp_path / "ledger.jsonl"
         ledger.write_text(json.dumps(synthetic_point("nw")) + "\n")
+        telemetry = point_artifacts(tmp_path, "bfs", "ctr_mac_bmt")
+        capsys.readouterr()
         out = tmp_path / "report.html"
         code = main([
             "dashboard", "-o", str(out), "--ledger", str(ledger),
-            "--title", "test sweep",
+            "--telemetry", str(telemetry), "--title", "test sweep",
         ])
         assert code == 0 and out.exists()
+        html_text = out.read_text()
         parser = _SectionParser()
-        parser.feed(out.read_text())
+        parser.feed(html_text)
         assert parser.section_ids == list(SECTIONS)
         assert not parser.external
         assert "self-contained" in capsys.readouterr().out
+        # the point's artifacts fill the bottleneck and traffic sections.
+        assert "dominant overhead component" in html_text
+        assert "from telemetry artifacts" in html_text
 
     @pytest.mark.skipif(not PAPER_CACHE.exists(), reason="paper cache not present")
     def test_scorecard_paper_profile_cli(self, tmp_path, capsys):
@@ -538,25 +555,19 @@ class TestCli:
         assert doc["status"] == "pass" and doc["points_simulated"] == 0
 
     def test_bottleneck_json_to_file(self, tmp_path, capsys):
-        out = tmp_path / "latency.json"
         code = main([
-            "bottleneck", "bfs", "--partitions", "2",
-            "--horizon", "1200", "--warmup", "400", "--json", str(out),
+            "run", "bfs", "--partitions", "2", "--horizon", "1200",
+            "--warmup", "400", "--bottleneck", "--trace", str(tmp_path),
         ])
         assert code == 0
-        doc = json.loads(out.read_text())
+        latency = next(tmp_path.glob("bfs-*/latency.json"))
+        doc = json.loads(latency.read_text())["latency"]
         assert "hops" in doc and "stalls" in doc
-        # the table report is still printed when writing to a file.
+        # the table report is still printed when the artifacts are written.
         assert "per-hop latency" in capsys.readouterr().out
 
     def test_trace_json_to_file(self, tmp_path):
-        out = tmp_path / "trace-summary.json"
-        code = main([
-            "trace", "bfs", "--partitions", "2",
-            "--horizon", "1200", "--warmup", "400",
-            "--out", str(tmp_path / "artifacts"), "--json", str(out),
-        ])
-        assert code == 0
-        doc = json.loads(out.read_text())
-        assert doc["workload"] == "bfs"
-        assert "DATA" in doc["class_bytes"]
+        directory = point_artifacts(tmp_path, "bfs", "secureMem_mshr64")
+        doc = json.loads((directory / "summary.json").read_text())
+        assert doc["meta"]["workload"] == "bfs"
+        assert "DATA" in doc["meta"]["class_bytes"]

@@ -374,16 +374,15 @@ class TestArtifacts:
 
 class TestCli:
     def test_trace_command(self, tmp_path, capsys):
-        out = tmp_path / "artifacts"
         assert (
             main(
                 [
-                    "trace",
+                    "run",
                     "nw",
                     "--design",
                     "ctr_mac_bmt",
-                    "--out",
-                    str(out),
+                    "--trace",
+                    str(tmp_path / "artifacts"),
                     *FAST,
                 ]
             )
@@ -391,6 +390,10 @@ class TestCli:
         )
         text = capsys.readouterr().out
         assert "COUNTER" in text and "MAC" in text and "TREE" in text
+        # one subdirectory per point, named as the runner's telemetry_dir does.
+        config = designs.build_named_gpu("ctr_mac_bmt", 2)
+        out = tmp_path / "artifacts" / f"nw-{config_key(config)[:12]}"
+        assert f"artifacts         {out}" in text
         for name in ARTIFACT_NAMES:
             assert (out / name).exists()
         doc = json.loads((out / "trace.json").read_text())
@@ -400,13 +403,14 @@ class TestCli:
         assert breakdown["TREE"] > 0
 
     def test_stats_json_command(self, capsys):
-        assert main(["stats", "nw", "--design", "baseline", "--json", *FAST]) == 0
-        tree = json.loads(capsys.readouterr().out)
+        argv = ["run", "nw", "--design", "baseline", "--stats", "--json", *FAST]
+        assert main(argv) == 0
+        tree = json.loads(capsys.readouterr().out)["stats"]
         assert tree["name"] == "gpu"
         assert "partition0" in tree["children"]
         counters = tree["children"]["partition0"]["children"]["dram"]["counters"]
         assert counters["bytes_total"] > 0
 
     def test_stats_text_command(self, capsys):
-        assert main(["stats", "nw", "--design", "baseline", *FAST]) == 0
+        assert main(["run", "nw", "--design", "baseline", "--stats", *FAST]) == 0
         assert "gpu.partition0.dram.bytes_total" in capsys.readouterr().out
