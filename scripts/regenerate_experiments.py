@@ -303,7 +303,8 @@ paper after the fact (`src/repro/obsv/`):
   ledger, heartbeat progress, scorecard, per-class traffic, bottleneck
   stalls and the `BENCH_*.json` perf trajectory into one self-contained
   HTML file (inline CSS/JS/SVG, no external requests) suitable for CI
-  artifacts.
+  artifacts.  `--telemetry DIR` takes one point's artifacts from
+  `repro run --trace`: its stall table and DRAM bytes by class.
 
 Observability is strictly passive: ledger and heartbeat writes are
 best-effort and never fail the sweep they observe, and none of these
