@@ -17,7 +17,7 @@ else
 fi
 
 echo "== tier-1 tests =="
-PYTHONPATH=src python -m pytest -x -q -m "not slow"
+PYTHONPATH=src python -m pytest -x -q
 
 if [ "${1:-}" != "--no-bench" ]; then
     echo "== perf smoke (BENCH_parallel.json + BENCH_core.json) =="

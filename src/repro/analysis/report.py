@@ -1,8 +1,8 @@
 """Plain-text rendering of experiment results.
 
-The benchmark harness prints the same rows/series the paper's figures and
+``repro figure`` prints the same rows/series the paper's figures and
 tables report; these helpers keep the formatting consistent everywhere
-(benches, examples, EXPERIMENTS.md generation).
+(the CLI, examples, the scorecard, EXPERIMENTS.md generation).
 """
 
 from __future__ import annotations

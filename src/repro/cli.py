@@ -92,7 +92,7 @@ def _build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="DIR",
         help="record full telemetry and write its artifacts (Chrome trace, "
-        "samples, latency, summary) to DIR/<workload>-<config digest>/",
+        "samples, latency, summary) to DIR/<workload>-<config digest>-h<H>-w<W>/",
     )
     run.add_argument(
         "--json",
@@ -319,26 +319,23 @@ def _build_parser() -> argparse.ArgumentParser:
 
     scorecard = sub.add_parser(
         "scorecard",
-        help="evaluate the paper's Section-V conclusions against a sweep",
+        help="evaluate the paper's claims against every figure's sweep",
     )
     scorecard.add_argument(
-        "--profile",
-        choices=["paper", "smoke"],
-        default="paper",
-        help="which calibrated expectation set / scale to evaluate at",
+        "--partitions",
+        type=int,
+        default=4,
+        help="scale to evaluate at (the checks are calibrated at the default)",
     )
-    scorecard.add_argument(
-        "--partitions", type=int, default=None, help="override the profile's scale"
-    )
-    scorecard.add_argument("--horizon", type=float, default=None)
-    scorecard.add_argument("--warmup", type=float, default=None)
+    scorecard.add_argument("--horizon", type=float, default=10_000)
+    scorecard.add_argument("--warmup", type=float, default=30_000)
     scorecard.add_argument(
         "--bench",
         action="append",
         default=None,
         metavar="NAME",
         choices=BENCHMARK_ORDER,
-        help="restrict to these benchmarks (repeatable; default: profile's set)",
+        help="restrict to these benchmarks (repeatable; default: all 14)",
     )
     scorecard.add_argument(
         "--jobs",
@@ -451,10 +448,7 @@ def _cmd_run(args) -> int:
     runner = Runner(horizon=args.horizon, warmup=args.warmup, telemetry_dir=args.trace)
     result = runner.run(args.workload, config)
     export = result.telemetry
-    # where the runner writes a point's artifacts under its telemetry_dir.
-    artifacts = (
-        Path(args.trace) / f"{args.workload}-{config_key(config)[:12]}" if args.trace else None
-    )
+    artifacts = runner.artifact_dir(args.workload, config_key(config))
     if args.json:
         doc = result_to_dict(result)
         if args.stats:
@@ -864,7 +858,7 @@ def _write_json(path: str | Path, doc: dict) -> None:
 
 
 def _cmd_scorecard(args) -> int:
-    from repro.obsv.scorecard import PROFILES, build_scorecard, render_scorecard
+    from repro.obsv.scorecard import build_scorecard, render_scorecard
 
     if args.ledger is not None and Path(args.ledger).is_dir():
         print(
@@ -873,34 +867,29 @@ def _cmd_scorecard(args) -> int:
             file=sys.stderr,
         )
         return 2
-    profile = PROFILES[args.profile]
-    partitions = args.partitions if args.partitions is not None else profile["partitions"]
-    horizon = args.horizon if args.horizon is not None else profile["horizon"]
-    warmup = args.warmup if args.warmup is not None else profile["warmup"]
-    benchmarks = args.bench if args.bench is not None else profile["benchmarks"]
     if args.cache is not None:
         cache = Path(args.cache)
     else:
         # the regeneration cache for this scale: a populated results/
-        # directory makes the paper profile pure cache reads.
+        # directory makes the default scale pure cache reads.
         cache = Path("results") / (
-            f"experiments_p{partitions}_h{horizon:g}_w{warmup:g}.json"
+            f"experiments_p{args.partitions}_h{args.horizon:g}_w{args.warmup:g}.json"
         )
         if not cache.is_file():
             sharded = cache.with_name(cache.name + ".d")
             cache = sharded if sharded.is_dir() else cache
     # the runner opens both cache formats (legacy single-file and sharded).
     runner = Runner(
-        horizon=horizon,
-        warmup=warmup,
-        benchmarks=benchmarks,
+        horizon=args.horizon,
+        warmup=args.warmup,
+        benchmarks=args.bench,
         cache_path=cache,
         jobs=args.jobs,
         heartbeat_path=args.heartbeat,
         ledger_path=args.ledger,
     )
     with runner:
-        doc = build_scorecard(runner, args.profile, partitions)
+        doc = build_scorecard(runner, args.partitions)
     print(render_scorecard(doc))
     if args.json:
         _write_json(args.json, doc)

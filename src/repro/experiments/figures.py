@@ -2,13 +2,16 @@
 
 Every function takes a :class:`~repro.experiments.runner.Runner` and
 returns ``{row: {column: value}}`` — rows are benchmarks (plus ``Gmean``
-where the paper aggregates), columns are the compared designs.  The
-benchmark harness renders these with
-:func:`repro.analysis.report.render_series_table`.
+where the paper aggregates), columns are the compared designs.
+``repro figure`` and ``scripts/regenerate_experiments.py`` render these
+with :func:`repro.analysis.report.render_series_table`, and the
+paper-fidelity scorecard (:mod:`repro.obsv.scorecard`) reads its checks
+from them.
 """
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Dict, Sequence
 
 from repro.analysis.reuse import reuse_distance_histogram
@@ -385,7 +388,7 @@ def table6_7() -> Series:
     return table
 
 
-#: registry used by the regeneration script and smoke tests.
+#: registry used by ``repro figure``, the regeneration script and the scorecard.
 ALL_FIGURES = {
     "table4": table4,
     "fig3": fig3,
@@ -456,12 +459,10 @@ def occupancy_study(
     occupancy.  The paper asserts GPUs tolerate crypto latency because of
     TLP; this sweep shows the tolerance appearing as warps are added.
     """
-    from dataclasses import replace as _replace
-
     pairs = {
         warps: (
-            _replace(_baseline(partitions), max_warps_per_sm=warps),
-            _replace(
+            replace(_baseline(partitions), max_warps_per_sm=warps),
+            replace(
                 designs.build_gpu(designs.direct(latency), partitions),
                 max_warps_per_sm=warps,
             ),
@@ -482,3 +483,31 @@ def occupancy_study(
 
 
 ALL_FIGURES["occupancy"] = occupancy_study
+
+
+def dram_models(
+    runner: Runner,
+    partitions: int = designs.DEFAULT_PARTITIONS,
+    workloads: Sequence[str] = ("streamcluster", "fdtd2d", "bfs"),
+) -> Series:
+    """Secure-memory normalized IPC under the simple and the banked DRAM.
+
+    The simple channel folds DRAM inefficiency into a constant; the banked
+    one lets it emerge from row-buffer locality, which metadata fetches
+    interleaved with data streams disturb.  Rows are workloads, columns
+    the DRAM model; both sides of each ratio use the same model.
+    """
+    insecure = _baseline(partitions)
+    protected = designs.build_gpu(designs.separate(), partitions)
+    pairs = {
+        model: tuple(replace(c, dram=replace(c.dram, model=model)) for c in (insecure, protected))
+        for model in ("simple", "banked")
+    }
+    runner.prefetch((w, cfg) for pair in pairs.values() for cfg in pair for w in workloads)
+    return {
+        w: {
+            model: runner.normalized_ipc(w, secure, base)
+            for model, (base, secure) in pairs.items()
+        }
+        for w in workloads
+    }

@@ -528,18 +528,29 @@ class Runner:
     def _disk_key(self, workload_name: str, cfg_key: str) -> str:
         return f"{workload_name}:{cfg_key}:{self.horizon}:{self.warmup}"
 
+    def artifact_dir(self, workload_name: str, cfg_key: str) -> Optional[Path]:
+        """Where one point's telemetry artifacts go under :attr:`telemetry_dir`.
+
+        The name embeds the config digest and the measurement window, so
+        different designs or windows of the same workload never collide.
+        None when this runner persists no telemetry.
+        """
+        if self.telemetry_dir is None:
+            return None
+        return self.telemetry_dir / (
+            f"{workload_name}-{cfg_key[:12]}-h{self.horizon:g}-w{self.warmup:g}"
+        )
+
     def _persist_telemetry(
         self, workload_name: str, cfg_key: str, export: Optional[dict]
     ) -> Optional[Path]:
-        """Write one point's telemetry artifacts under :attr:`telemetry_dir`.
+        """Write one point's telemetry artifacts to :meth:`artifact_dir`.
 
-        The directory name embeds the config digest so different designs of
-        the same workload never collide.  Returns the directory, or None
-        when there is nothing to persist.
+        Returns the directory, or None when there is nothing to persist.
         """
-        if export is None or self.telemetry_dir is None:
+        directory = self.artifact_dir(workload_name, cfg_key)
+        if export is None or directory is None:
             return None
-        directory = self.telemetry_dir / f"{workload_name}-{cfg_key[:12]}"
         write_artifacts(directory, export)
         return directory
 

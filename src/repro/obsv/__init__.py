@@ -56,7 +56,6 @@ from repro.obsv.spans import (
 )
 from repro.obsv.scorecard import (
     EXPECTATIONS,
-    PROFILES,
     Expectation,
     build_scorecard,
     evaluate,
@@ -76,7 +75,6 @@ __all__ = [
     "JsonlSpanSink",
     "NullLogger",
     "NullSpanRecorder",
-    "PROFILES",
     "RunLedger",
     "SPAN_SCHEMA",
     "Span",

@@ -319,7 +319,7 @@ def _scorecard_section(scorecard: Optional[dict]) -> str:
         for r in scorecard.get("results", [])
     ]
     head = (
-        f'<p class="barlabel">profile {_esc(scorecard.get("profile", "?"))} &middot; '
+        f'<p class="barlabel">{_esc(scorecard.get("partitions", "?"))} partitions &middot; '
         f"overall {_badge(scorecard.get('status', 'skip'))}</p>"
     )
     return head + _table(["status", "check", "observed", "expected", "paper"], rows)

@@ -261,11 +261,6 @@ def summarize_ledger(records: Iterable[dict]) -> dict:
         for r in points
         if r.get("outcome") == "failed"
     ]
-    ipcs: Dict[str, float] = {}
-    for r in points:
-        stats = r.get("stats") or {}
-        if "ipc" in stats:
-            ipcs.setdefault(r.get("workload", "?"), stats["ipc"])
     return {
         "points": len(points),
         "outcomes": dict(sorted(outcomes.items())),

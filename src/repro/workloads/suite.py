@@ -5,8 +5,8 @@ behaviour: access pattern, coalescing, working-set size, hot-set reuse,
 read/write mix and compute intensity, tuned so the *baseline* simulation
 lands in the paper's bandwidth-utilization band with a comparable relative
 IPC.  ``PAPER_TABLE4`` records the published numbers; calibration is
-checked by ``tests/test_calibration.py`` and reported by
-``benchmarks/bench_table4_baseline.py``.
+checked by ``tests/test_calibration.py`` and, at the paper scale, by the
+scorecard's ``t4_*`` checks (``repro scorecard``).
 
 The tuning logic, in brief: the paper's (bandwidth %, IPC) pair fixes the
 benchmark's DRAM-bytes-per-instruction ratio; the access pattern fixes

@@ -110,3 +110,19 @@ class TestEndToEnd:
         gpu.run(3000, warmup=2000)
         hit_rate = gpu.partitions[0].dram.row_hit_rate()
         assert hit_rate > 0.2  # blocked streams reuse open rows
+
+    @pytest.mark.parametrize("workload", ["streamcluster", "fdtd2d", "bfs"])
+    def test_secure_row_hit_rate_is_a_rate(self, workload):
+        """Metadata fetches interleave with the data streams: the rate
+        stays a rate (the scorecard's x_banked_dram_no_speedup checks the
+        IPC side of the same three workloads)."""
+        from dataclasses import replace
+
+        from repro.experiments import designs
+        from repro.sim.gpu import Gpu
+
+        config = designs.build_gpu(designs.separate(), 2)
+        config = replace(config, dram=replace(config.dram, model="banked"))
+        gpu = Gpu(config, get_benchmark(workload))
+        gpu.run(3000, warmup=2000)
+        assert 0 <= gpu.partitions[0].dram.row_hit_rate() <= 1

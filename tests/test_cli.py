@@ -91,7 +91,7 @@ class TestRun:
     @pytest.mark.parametrize("command", [
         ["run", "nw"],
         ["sweep", "--bench", "nw"],
-        ["scorecard", "--profile", "smoke"],
+        ["scorecard"],
     ])
     def test_bad_partitions_one_error_line_exit_2(self, command, capsys):
         assert main([*command, "--partitions", "3"]) == 2
@@ -102,7 +102,7 @@ class TestRun:
     @pytest.mark.parametrize("command", [
         ["run", "nw"],
         ["sweep", "--bench", "nw"],
-        ["scorecard", "--profile", "smoke"],
+        ["scorecard"],
     ])
     @pytest.mark.parametrize("flag, value", [
         ("--horizon", "-100"),
@@ -182,8 +182,7 @@ class TestObservabilityErrors:
         assert "directory" in capsys.readouterr().err
 
     def test_scorecard_directory_ledger_exits_2(self, tmp_path, capsys):
-        assert main(["scorecard", "--profile", "smoke",
-                     "--ledger", str(tmp_path)]) == 2
+        assert main(["scorecard", "--ledger", str(tmp_path)]) == 2
         err = capsys.readouterr().err
         assert "directory" in err
         assert "Traceback" not in err

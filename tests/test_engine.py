@@ -169,9 +169,10 @@ class TestCounterOverflow:
         assert dram.stats.get("txn_data_read") >= chunk_txns
 
     def test_no_overflow_below_limit(self):
-        engine, events, dram, _ = make_engine()
-        for i in range(20):
+        engine, events, dram, layout = make_engine()
+        for i in range(layout.counters.minor_limit - 1):
             engine.write_sector(float(i), 0x0)
+            events.run(until=float(i) + 0.5)
         drain(events)
         assert engine.stats.get("counter_overflows") == 0
 

@@ -4,8 +4,6 @@ import importlib.util
 import sys
 from pathlib import Path
 
-import pytest
-
 
 EXAMPLES = Path(__file__).parent.parent / "examples"
 
@@ -65,7 +63,6 @@ class TestMetadataCacheStudy:
 
 
 class TestAttackDemo:
-    @pytest.mark.slow
     def test_attack_narrative(self, capsys):
         module = load_example("attack_demo")
         module.main()

@@ -189,6 +189,7 @@ class TestCounterOverflow:
         memory.write(128, b"neighbour line")
         for i in range(130):  # minor limit is 128
             memory.write(0, bytes([i]) * 16)
+        assert memory._counter_block(0).major >= 1
         assert memory.read(0, 16) == bytes([129]) * 16
         assert memory.read(128, 14) == b"neighbour line"
 
@@ -209,7 +210,6 @@ class TestCounterOverflow:
 
 
 class TestPropertyRoundTrip:
-    @pytest.mark.slow
     @given(
         st.lists(
             st.tuples(

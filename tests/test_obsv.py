@@ -344,25 +344,23 @@ class TestScorecard:
     @pytest.mark.skipif(not PAPER_CACHE.exists(), reason="paper cache not present")
     def test_paper_profile_passes_from_shipped_cache(self):
         runner = Runner(horizon=10_000, warmup=30_000, cache_path=PAPER_CACHE)
-        doc = build_scorecard(runner, "paper", 4)
-        # the shipped cache covers the whole scorecard matrix: nothing may
-        # simulate, and every Section-V conclusion must reproduce.
+        doc = build_scorecard(runner, 4)
+        # the shipped cache covers every figure the scorecard reads: nothing
+        # may simulate, and every check must pass.
         assert doc["points_simulated"] == 0
         assert doc["status"] == "pass"
         assert {r["status"] for r in doc["results"]} == {"pass"}
-        assert len(doc["results"]) == len(EXPECTATIONS["paper"])
+        assert len(doc["results"]) == len(EXPECTATIONS)
         rendered = render_scorecard(doc)
         assert "overall: PASS" in rendered
         assert "c2_lbm_ipc_loss" in rendered
 
     def test_build_scorecard_with_injected_metrics(self, tmp_path):
         runner = Runner(horizon=HORIZON, warmup=WARMUP, benchmarks=BENCHES)
-        metrics = {exp.metric: None for exp in EXPECTATIONS["smoke"]}
-        metrics = {}  # all skip
-        doc = build_scorecard(runner, "smoke", 2, metrics=metrics)
+        doc = build_scorecard(runner, 2, metrics={})  # all skip
         assert doc["status"] == "pass"  # skips never fail a scorecard
         assert {r["status"] for r in doc["results"]} == {"skip"}
-        assert doc["schema"] == 1 and doc["profile"] == "smoke"
+        assert doc["schema"] == 2 and doc["partitions"] == 2
 
 
 # ---------------------------------------------------------------------------
@@ -473,7 +471,7 @@ class TestDashboard:
              "failures": 0},
         ]
         scorecard = {
-            "profile": "smoke", "status": "warn",
+            "status": "warn",
             "results": [{"id": "c1", "status": "warn", "observed": 0.5,
                          "mode": "band", "target": 0.4, "tolerance": 0.05,
                          "grace": 0.05, "paper": "Fig. 3"}],
@@ -546,8 +544,7 @@ class TestCli:
     def test_scorecard_paper_profile_cli(self, tmp_path, capsys):
         out_json = tmp_path / "scorecard.json"
         code = main([
-            "scorecard", "--profile", "paper",
-            "--cache", str(PAPER_CACHE), "--json", str(out_json),
+            "scorecard", "--cache", str(PAPER_CACHE), "--json", str(out_json),
         ])
         assert code == 0
         assert "overall: PASS" in capsys.readouterr().out

@@ -344,11 +344,10 @@ class TestArtifacts:
             telemetry_dir=tmp_path / "parallel",
         )
         parallel.prefetch(points)
-        digest = config_key(config)[:12]
         for workload in ("nw", "bfs"):
             for name in ARTIFACT_NAMES:
-                a = (tmp_path / "serial" / f"{workload}-{digest}" / name).read_bytes()
-                b = (tmp_path / "parallel" / f"{workload}-{digest}" / name).read_bytes()
+                a = (serial.artifact_dir(workload, config_key(config)) / name).read_bytes()
+                b = (parallel.artifact_dir(workload, config_key(config)) / name).read_bytes()
                 assert a == b, (workload, name)
 
     def test_cached_payloads_free_of_telemetry(self, tmp_path):
@@ -390,9 +389,11 @@ class TestCli:
         )
         text = capsys.readouterr().out
         assert "COUNTER" in text and "MAC" in text and "TREE" in text
-        # one subdirectory per point, named as the runner's telemetry_dir does.
+        # one subdirectory per point, named by the runner's artifact_dir.
         config = designs.build_named_gpu("ctr_mac_bmt", 2)
-        out = tmp_path / "artifacts" / f"nw-{config_key(config)[:12]}"
+        out = Runner(
+            horizon=1200, warmup=800, telemetry_dir=tmp_path / "artifacts"
+        ).artifact_dir("nw", config_key(config))
         assert f"artifacts         {out}" in text
         for name in ARTIFACT_NAMES:
             assert (out / name).exists()
@@ -401,6 +402,18 @@ class TestCli:
         assert breakdown["COUNTER"] > 0
         assert breakdown["MAC"] > 0
         assert breakdown["TREE"] > 0
+
+    def test_two_windows_keep_two_artifact_sets(self, tmp_path, capsys):
+        out = tmp_path / "artifacts"
+        for horizon in ("1200", "1500"):
+            argv = ["run", "nw", "--partitions", "2", "--warmup", "800",
+                    "--horizon", horizon, "--trace", str(out)]
+            assert main(argv) == 0
+        capsys.readouterr()
+        summaries = sorted(out.glob("nw-*/summary.json"))
+        assert len(summaries) == 2
+        horizons = {json.loads(p.read_text())["meta"]["horizon"] for p in summaries}
+        assert horizons == {1200.0, 1500.0}
 
     def test_stats_json_command(self, capsys):
         argv = ["run", "nw", "--design", "baseline", "--stats", "--json", *FAST]
