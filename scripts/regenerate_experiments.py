@@ -285,13 +285,15 @@ paper after the fact (`src/repro/obsv/`):
   cache resumes without duplicate records, and a serial and a parallel
   run of the same sweep produce record-equivalent ledgers.
 - **Fidelity scorecard** — `python -m repro scorecard` re-evaluates the
-  paper's five Section-V conclusions (mean secure-memory IPC loss, lbm
-  as the worst case, separate-beats-unified metadata caches, cheap
-  direct encryption, one-AES-engine sufficiency) as declarative
-  expectations with pass/warn/fail tolerance bands, reading this cache
-  (`--profile paper`, pure cache hits) or the small CI scale
-  (`--profile smoke`).  `--json scorecard.json` exports the document;
-  the command exits 1 when any conclusion FAILs its band.
+  paper's claims as 39 declarative checks, each citing the paper: the
+  five Section-V conclusions (mean secure-memory IPC loss, lbm as the
+  worst case, separate-beats-unified metadata caches, cheap direct
+  encryption, one-AES-engine sufficiency) with pass/warn/fail tolerance
+  bands, and hard bounds on the shape of Table IV, Figs. 3-9 and 12-17
+  and the extensions.  It reads this cache (pure cache hits), or
+  re-simulates every point into an empty one (`--cache DIR`).
+  `--json scorecard.json` exports the document; the command exits 1
+  when any check FAILs.
 - **Sweep diffing** — `python -m repro diff A B` joins two ledgers
   point-by-point (`--match workload` to compare different configs),
   compares each key statistic under a noise-aware relative tolerance
