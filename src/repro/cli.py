@@ -46,6 +46,14 @@ from repro.experiments.runner import Runner, config_key, gmean, result_to_dict
 from repro.workloads.suite import BENCHMARK_ORDER
 
 
+def _window(text: str) -> float:
+    """A ``--horizon``/``--warmup`` value.  An integral one is kept as an
+    int, as the defaults are, so ``--horizon 10000`` keys the result cache
+    exactly as the default does (``...:10000:30000``, not ``10000.0``)."""
+    value = float(text)
+    return int(value) if value.is_integer() else value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -60,8 +68,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def add_scale(p, jobs=True):
         p.add_argument("--partitions", type=int, default=4)
-        p.add_argument("--horizon", type=float, default=10_000)
-        p.add_argument("--warmup", type=float, default=30_000)
+        p.add_argument("--horizon", type=_window, default=10_000)
+        p.add_argument("--warmup", type=_window, default=30_000)
         if jobs:
             p.add_argument(
                 "--jobs",
@@ -327,16 +335,8 @@ def _build_parser() -> argparse.ArgumentParser:
         default=4,
         help="scale to evaluate at (the checks are calibrated at the default)",
     )
-    scorecard.add_argument("--horizon", type=float, default=10_000)
-    scorecard.add_argument("--warmup", type=float, default=30_000)
-    scorecard.add_argument(
-        "--bench",
-        action="append",
-        default=None,
-        metavar="NAME",
-        choices=BENCHMARK_ORDER,
-        help="restrict to these benchmarks (repeatable; default: all 14)",
-    )
+    scorecard.add_argument("--horizon", type=_window, default=10_000)
+    scorecard.add_argument("--warmup", type=_window, default=30_000)
     scorecard.add_argument(
         "--jobs",
         type=int,
@@ -882,7 +882,6 @@ def _cmd_scorecard(args) -> int:
     runner = Runner(
         horizon=args.horizon,
         warmup=args.warmup,
-        benchmarks=args.bench,
         cache_path=cache,
         jobs=args.jobs,
         heartbeat_path=args.heartbeat,

@@ -22,6 +22,7 @@ from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.obsv.ledger import ledger_points, summarize_ledger
+from repro.obsv.scorecard import expected_text
 
 #: section ids, in render order — the smoke test asserts all are present.
 SECTIONS = (
@@ -307,13 +308,7 @@ def _scorecard_section(scorecard: Optional[dict]) -> str:
             _badge(r["status"]),
             _esc(r["id"]),
             "-" if r["observed"] is None else f"{r['observed']:.3f}",
-            _esc(
-                {
-                    "band": f"~{r['target']:.3f} +/-{r['tolerance']:.3f}",
-                    "at_least": f">= {r['target']:.3f}",
-                    "at_most": f"<= {r['target']:.3f}",
-                }[r["mode"]]
-            ),
+            _esc(expected_text(r)),
             _esc(r["paper"]),
         ]
         for r in scorecard.get("results", [])

@@ -63,16 +63,20 @@ class Expectation:
     * ``band``     — ``v = max(0, |observed - target| - tolerance)``
     * ``at_least`` — ``v = max(0, target - observed)``
     * ``at_most``  — ``v = max(0, observed - target)``
+    * ``above`` / ``below`` — as ``at_least`` / ``at_most``, but strict:
+      ``observed == target`` fails (two columns that tie exactly mean the
+      knob between them stopped having any effect)
 
     ``v == 0`` passes, ``v <= grace`` warns, beyond fails — so the warn
     band is a strip of width ``grace`` just outside the pass region, and
-    the boundaries are closed on the passing side.
+    the boundaries are closed on the passing side (open for the strict
+    modes).
     """
 
     id: str
     claim: str
     metric: str
-    mode: str  # "band" | "at_least" | "at_most"
+    mode: str  # "band" | "at_least" | "at_most" | "above" | "below"
     target: float
     grace: float
     tolerance: float = 0.0  # only meaningful for mode="band"
@@ -81,15 +85,17 @@ class Expectation:
     def violation(self, observed: float) -> float:
         if self.mode == "band":
             return max(0.0, abs(observed - self.target) - self.tolerance)
-        if self.mode == "at_least":
+        if self.mode in ("at_least", "above"):
             return max(0.0, self.target - observed)
-        if self.mode == "at_most":
+        if self.mode in ("at_most", "below"):
             return max(0.0, observed - self.target)
         raise ValueError(f"unknown expectation mode {self.mode!r}")
 
     def status(self, observed: Optional[float]) -> str:
         if observed is None:
             return SKIP
+        if observed == self.target and self.mode in ("above", "below"):
+            return FAIL
         v = self.violation(observed)
         if v == 0.0:
             return PASS
@@ -192,34 +198,34 @@ EXPECTATIONS: List[Expectation] = [
         grace=0.03,
         paper="1 engine ~= 2 engines (Fig. 12)",
     ),
-    _bound("t4_lbm_bandwidth", "lbm_bw_util_pct", "at_least", 40.0,
+    _bound("t4_lbm_bandwidth", "lbm_bw_util_pct", "above", 40.0,
            "lbm is memory-intensive", "lbm 58% bandwidth (Table IV)"),
-    _bound("t4_heartwall_bandwidth", "heartwall_bw_util_pct", "at_most", 20.0,
+    _bound("t4_heartwall_bandwidth", "heartwall_bw_util_pct", "below", 20.0,
            "heartwall is compute-bound", "heartwall 0-1% bandwidth (Table IV)"),
-    _bound("f3_large_mdc_recovers", "large_mdc_gmean", "at_least", 0.75,
+    _bound("f3_large_mdc_recovers", "large_mdc_gmean", "above", 0.75,
            "large metadata caches recover most of the loss",
            "unlimited metadata caches ~ baseline (Fig. 3)"),
-    _bound("f4_mac_share", "mac_share_avg", "at_least", 0.10,
+    _bound("f4_mac_share", "mac_share_avg", "above", 0.10,
            "MACs are a large share of DRAM traffic", "MACs 25.6% of traffic (Fig. 4)"),
-    _bound("f4_ctr_share", "ctr_share_avg", "at_least", 0.10,
+    _bound("f4_ctr_share", "ctr_share_avg", "above", 0.10,
            "counters are a large share of DRAM traffic",
            "counters 21.8% of traffic (Fig. 4)"),
-    _bound("f4_nw_metadata_heavy", "nw_data_share", "at_most", 0.65,
+    _bound("f4_nw_metadata_heavy", "nw_data_share", "below", 0.65,
            "metadata dominates nw's traffic",
            "62-75% metadata traffic, non-memory-intensive (Fig. 4)"),
-    _bound("f5_ctr_secondary", "ctr_secondary_avg", "at_least", 0.4,
+    _bound("f5_ctr_secondary", "ctr_secondary_avg", "above", 0.4,
            "most counter misses are secondary", "65.0% of ctr misses secondary (Fig. 5)"),
-    _bound("f5_mac_secondary", "mac_secondary_avg", "at_least", 0.4,
+    _bound("f5_mac_secondary", "mac_secondary_avg", "above", 0.4,
            "most MAC misses are secondary", "59.7% of MAC misses secondary (Fig. 5)"),
-    _bound("f5_streaming_secondary", "streamcluster_ctr_secondary", "at_least", 0.8,
+    _bound("f5_streaming_secondary", "streamcluster_ctr_secondary", "above", 0.8,
            "streaming workloads miss secondary", ">90% for streamcluster (Fig. 5)"),
-    _bound("f6_mshr64_beats_none", "mshr64_minus_mshr0_gmean", "at_least", 0.0,
+    _bound("f6_mshr64_beats_none", "mshr64_minus_mshr0_gmean", "above", 0.0,
            "64 metadata MSHRs beat none", "monotone in MSHRs, 64 the sweet spot (Fig. 6)"),
     _bound("f6_mshr32_no_worse", "mshr32_minus_mshr0_gmean", "at_least", 0.0,
            "32 metadata MSHRs are no worse than none", "monotone in MSHRs (Fig. 6)"),
     _bound("f7_bigger_mdc_no_worse", "mdc64k_minus_2k_gmean", "at_least", 0.0,
            "64KB metadata caches are no worse than 2KB", "bigger helps (Fig. 7)"),
-    _bound("f7_residual_loss", "mdc64k_gmean", "at_most", 0.97,
+    _bound("f7_residual_loss", "mdc64k_gmean", "below", 0.97,
            "a loss survives 64KB metadata caches", "46.2% loss remains at 64KB (Fig. 7)"),
     _bound("f9_unified_bmt_misses", "unified_over_separate_bmt_miss", "at_least", 0.95,
            "unified does not lower the tree miss rate", "bmt 4.0% -> 5.9% unified (Fig. 9)"),
@@ -228,22 +234,22 @@ EXPECTATIONS: List[Expectation] = [
            "mac 31.75% -> 31.82% unified (Fig. 9)"),
     _bound("f13_l2_shrink_cost", "l2_4mb_over_6mb_gmean", "at_most", 1.05,
            "a 4MB L2 is no faster than 6MB", "4 MB L2 barely moves most (Fig. 13)"),
-    _bound("f14_streaming_misses", "streamcluster_l2_miss_rate", "at_least", 0.9,
+    _bound("f14_streaming_misses", "streamcluster_l2_miss_rate", "above", 0.9,
            "streaming workloads miss in the L2", "streamcluster 97% (Fig. 14)"),
-    _bound("f14_btree_hits", "btree_l2_miss_rate", "at_most", 0.7,
+    _bound("f14_btree_hits", "btree_l2_miss_rate", "below", 0.7,
            "b+tree's tiles hit in the L2", "compute/tiled ones low (Fig. 14)"),
     _bound("f15_latency_cost_bounded", "direct160_minus_direct40_gmean", "at_most", 0.02,
            "longer AES latency is no faster", "1.33% / 5.93% loss at 40 / 160 cycles (Fig. 15)"),
-    _bound("f15_direct_160_cheap", "direct_160_gmean", "at_least", 0.75,
+    _bound("f15_direct_160_cheap", "direct_160_gmean", "above", 0.75,
            "even 160-cycle direct encryption is cheap", "5.93% loss at 160 cycles (Fig. 15)"),
-    _bound("f16_direct_beats_ctr", "direct40_minus_ctr_gmean", "at_least", 0.0,
+    _bound("f16_direct_beats_ctr", "direct40_minus_ctr_gmean", "above", 0.0,
            "direct encryption beats counter mode", "ctr costs 33.1% (Fig. 16)"),
     _bound("f16_bmt_costs", "ctr_minus_ctr_bmt_gmean", "at_least", 0.0,
            "adding the BMT costs IPC", "ctr 33.1% -> ctr+BMT 43.9% loss (Fig. 16)"),
-    _bound("f17_direct_mac_wins", "direct_mac_minus_ctr_mac_bmt_gmean", "at_least", 0.0,
+    _bound("f17_direct_mac_wins", "direct_mac_minus_ctr_mac_bmt_gmean", "above", 0.0,
            "direct+MAC beats the counter-mode stack",
            "42.7% vs 63.5% loss (Fig. 17)"),
-    _bound("f17_tree_costs", "direct_mac_minus_direct_mac_mt_gmean", "at_least", 0.0,
+    _bound("f17_tree_costs", "direct_mac_minus_direct_mac_mt_gmean", "above", 0.0,
            "the MT is the costly part of direct integrity",
            "42.7% vs 71.9% loss (Fig. 17)"),
     _bound("x_blocking_verify_cheap", "blocking_over_secure_gmean", "at_least", 0.9,
@@ -258,7 +264,7 @@ EXPECTATIONS: List[Expectation] = [
     _bound("x_non_sectored_helps", "non_sectored_minus_secure_gmean", "at_least", 0.0,
            "sectoring amplifies the metadata cost",
            "beyond the paper: abl-sectored (DESIGN.md 9)"),
-    _bound("x_occupancy_hides_latency", "occupancy_max_minus_min_norm", "at_least", 0.0,
+    _bound("x_occupancy_hides_latency", "occupancy_max_minus_min_norm", "above", 0.0,
            "more warps hide more crypto latency",
            "beyond the paper: ext-occupancy, behind Fig. 15"),
     _bound("x_banked_dram_no_speedup", "banked_dram_max_norm", "at_most", 1.05,
@@ -270,10 +276,6 @@ EXPECTATIONS: List[Expectation] = [
 # ---------------------------------------------------------------------------
 # observed metrics
 # ---------------------------------------------------------------------------
-
-#: the figure drivers the metrics read, by table name.
-_FIGURES = dict(figures.ALL_FIGURES, dram_models=figures.dram_models)
-
 
 def _gmean(table: str, column: str) -> Callable[[dict], float]:
     return lambda t: t[table]["Gmean"][column]
@@ -349,19 +351,15 @@ METRICS: Dict[str, Callable[[dict], float]] = {
 
 
 def collect_metrics(runner: Runner, partitions: int) -> Dict[str, dict]:
-    """Run (or read from cache) every figure the scorecard reads.
+    """Run (or read from cache) every registered figure.
 
     Returns ``{"metrics": {...}, "figures": {name: table}}``.  A metric
-    whose rows the runner's benchmarks leave out (or whose ratio has a
-    zero denominator) is absent, so its check reports ``skip``.
+    whose row or column is missing raises: a check never skips silently.
     """
-    tables = {name: driver(runner, partitions) for name, driver in _FIGURES.items()}
-    metrics: Dict[str, float] = {}
-    for name, read in METRICS.items():
-        try:
-            metrics[name] = read(tables)
-        except (KeyError, ZeroDivisionError):
-            continue
+    tables = {
+        name: driver(runner, partitions) for name, driver in figures.ALL_FIGURES.items()
+    }
+    metrics = {name: read(tables) for name, read in METRICS.items()}
     return {"metrics": metrics, "figures": tables}
 
 
@@ -444,23 +442,27 @@ def build_scorecard(
 
 _STATUS_MARK = {PASS: "PASS", WARN: "WARN", FAIL: "FAIL", SKIP: "skip"}
 
+_RELATION = {"at_least": ">=", "at_most": "<=", "above": ">", "below": "<"}
+
+
+def expected_text(row: dict) -> str:
+    """A result row's pass region, as the table and the dashboard show it."""
+    if row["mode"] == "band":
+        return f"~{row['target']:.3f} +/-{row['tolerance']:.3f}"
+    return f"{_RELATION[row['mode']]} {row['target']:.3f}"
+
 
 def render_scorecard(doc: dict) -> str:
     """The plain-text pass/warn/fail table ``repro scorecard`` prints."""
     rows = []
     for row in doc["results"]:
         observed = row["observed"]
-        spec = {
-            "band": f"~{row['target']:.3f} +/-{row['tolerance']:.3f}",
-            "at_least": f">= {row['target']:.3f}",
-            "at_most": f"<= {row['target']:.3f}",
-        }[row["mode"]]
         rows.append(
             [
                 _STATUS_MARK[row["status"]],
                 row["id"],
                 f"{observed:.3f}" if observed is not None else "-",
-                spec,
+                expected_text(row),
                 row["paper"],
             ]
         )

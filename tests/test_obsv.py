@@ -319,6 +319,25 @@ class TestExpectationEdges:
         assert hi.status(0.125) == "pass" and hi.status(0.0) == "pass"
         assert hi.status(0.1875) == "warn" and hi.status(0.1876) == "fail"
 
+    def test_above_and_below_fail_on_a_tie(self):
+        # a strict bound: two columns that tie exactly (a difference of
+        # exactly 0.0) mean the knob between them stopped mattering.
+        above = Expectation(id="x", claim="", metric="m", mode="above",
+                            target=0.0, grace=0.0)
+        assert above.status(0.0) == "fail"
+        assert above.status(1e-12) == "pass" and above.status(-1e-12) == "fail"
+        below = Expectation(id="x", claim="", metric="m", mode="below",
+                            target=0.65, grace=0.0)
+        assert below.status(0.65) == "fail"
+        assert below.status(0.6) == "pass" and below.status(0.7) == "fail"
+        row = evaluate({"m": 0.0}, [above])[0]
+        assert row["status"] == "fail"
+        assert render_scorecard({
+            "partitions": 4, "horizon": 10_000, "warmup": 30_000,
+            "points_simulated": 0, "cache_hits": 0, "status": "fail",
+            "results": [row],
+        }).count("> 0.000") == 1
+
     def test_unknown_mode_raises(self):
         exp = Expectation(id="x", claim="", metric="m", mode="exactly",
                           target=1.0, grace=0.0)
@@ -550,6 +569,22 @@ class TestCli:
         assert "overall: PASS" in capsys.readouterr().out
         doc = json.loads(out_json.read_text())
         assert doc["status"] == "pass" and doc["points_simulated"] == 0
+
+    @pytest.mark.skipif(not PAPER_CACHE.exists(), reason="paper cache not present")
+    def test_scorecard_explicit_paper_window_reads_cache(self, monkeypatch, capsys):
+        # the paper window spelled out on the command line keys the cache
+        # as the defaults do: every point is a hit, nothing simulates.
+        def no_simulation(*args, **kwargs):
+            raise AssertionError("simulated a point the shipped cache holds")
+
+        monkeypatch.setattr("repro.experiments.runner.simulate", no_simulation)
+        code = main([
+            "scorecard", "--cache", str(PAPER_CACHE),
+            "--horizon", "10000", "--warmup", "30000",
+        ])
+        assert code == 0
+        out = capsys.readouterr().out
+        assert "overall: PASS" in out and "; 0 simulated, " in out
 
     def test_bottleneck_json_to_file(self, tmp_path, capsys):
         code = main([
