@@ -277,6 +277,7 @@ EXPECTATIONS: List[Expectation] = [
 # observed metrics
 # ---------------------------------------------------------------------------
 
+
 def _gmean(table: str, column: str) -> Callable[[dict], float]:
     return lambda t: t[table]["Gmean"][column]
 
