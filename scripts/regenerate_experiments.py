@@ -1,15 +1,21 @@
 #!/usr/bin/env python3
-"""Regenerate EXPERIMENTS.md: every table and figure, paper vs. measured.
+"""Regenerate EXPERIMENTS.md's tables: every table and figure, measured.
 
 Runs the full experiment matrix at the documentation scale (4 partitions /
 10 SMs, 10k-cycle measured window after a 30k-cycle warmup — large enough
-for steady-state L2 churn) and writes the paper-vs-measured record the
-repository ships.  A sharded, crash-safe result cache under ``results/``
-makes re-runs incremental: each completed point is appended durably, so a
-killed run resumes from where it stopped.
+for steady-state L2 churn) and rewrites the table block of each section
+named in ``SECTIONS``.  Every other line of EXPERIMENTS.md — headings,
+the paper's expectations, the prose sections — is kept as it is, except
+the regeneration-time line.  The sharded, crash-safe result cache
+``results/experiments_p4_h<H>_w<W>/`` makes re-runs incremental: each
+completed point is appended durably, so a killed run resumes from where it
+stopped, and over the shipped cache nothing simulates but Figs. 10-11's
+metadata-trace runs.
 
 Usage:  python scripts/regenerate_experiments.py [--fast] [--jobs N]
+                                                 [--output PATH]
                                                  [--stats-json PATH]
+                                                 [--ledger PATH]
 
 ``--jobs N`` fans independent simulation points out over N worker
 processes (0 = one per core); ``--jobs 1`` (default) runs serially.  A
@@ -21,17 +27,19 @@ exported as JSON so the perf trajectory is comparable across changes.
 from __future__ import annotations
 
 import argparse
+import json
+import re
 import time
 from pathlib import Path
-
-ROOT = Path(__file__).resolve().parent.parent
-
-import json
+from typing import List
 
 from repro.analysis.report import render_series_table
 from repro.experiments import figures
 from repro.experiments.runner import Runner
 from repro.workloads.suite import BENCHMARK_ORDER
+
+ROOT = Path(__file__).resolve().parent.parent
+TEMPLATE = ROOT / "EXPERIMENTS.md"
 
 PARTITIONS = 4
 HORIZON = 10_000
@@ -39,129 +47,50 @@ WARMUP = 30_000
 
 ORDER = BENCHMARK_ORDER + ["Gmean", "Average"]
 
-#: (title, paper-expectation text) per experiment, in paper order.
-NARRATIVE = {
-    "table2": (
-        "Table II — metadata organization and storage",
-        "Paper: counters 32 MB, MACs 256 MB, BMT 2.14 MB (total 290.14 MB "
-        "counter-mode); MACs 256 MB + MT 17.1 MB (total 273.1 MB direct). "
-        "Exact arithmetic — matches to rounding.",
-    ),
-    "table4": (
-        "Table IV — baseline characterization",
-        "Paper bands reproduced per benchmark (bw_util within or near each "
-        "band; relative IPC structure preserved: lavaMD fastest, nw/kmeans "
-        "slowest, three clean intensity categories).",
-    ),
-    "fig3": (
-        "Figure 3 — counter-mode + BMT overhead, idealized designs",
-        "Paper: secureMem loses 65.9% on average (up to 91% for lbm); "
-        "0_crypto does not help; perfect/unlimited metadata caches recover "
-        "nearly all of it. Shape check: secureMem << large_mdc ~ perf_mdc "
-        "~ 1.0, 0_crypto ~= secureMem.",
-    ),
-    "fig4": (
-        "Figure 4 — memory-request distribution under secureMem",
-        "Paper: MACs 25.6% and counters 21.8% of traffic on average; "
-        "non-memory-intensive benchmarks show 62-75% metadata traffic yet "
-        "no slowdown (bandwidth headroom).",
-    ),
-    "fig5": (
-        "Figure 5 — secondary misses in metadata caches",
-        "Paper: 65.0% / 59.7% / 85.6% of ctr/MAC/BMT misses are secondary; "
-        ">90% for streaming workloads like streamcluster.",
-    ),
-    "fig6": (
-        "Figure 6 — IPC vs metadata-cache MSHRs",
-        "Paper: monotone improvement, 64 MSHRs a good cost/performance "
-        "point.",
-    ),
-    "fig7": (
-        "Figure 7 — IPC vs metadata cache size",
-        "Paper: bigger helps, but 46.2% mean loss remains at 64 KB/kind "
-        "(6 MB total): kmeans/srad_v2/lbm stay heavily degraded.",
-    ),
-    "fig8": (
-        "Figure 8 — unified vs separate metadata caches",
-        "Paper: separate wins on GPUs (streaming thrash), the opposite of "
-        "the CPU conclusion of Lehman et al.",
-    ),
-    "fig9": (
-        "Figure 9 — metadata miss rates, unified vs separate",
-        "Paper: unified raises every kind's miss rate (ctr 22.8->24.0%, "
-        "mac 31.75->31.82%, bmt 4.0->5.9%) and produces 1.47x the metadata "
-        "writebacks. At our scaled per-partition pressure ctr/mac run "
-        "near-saturated in both organizations; the BMT rate and the "
-        "writeback traffic carry the signal.",
-    ),
-    "fig10_11": (
-        "Figures 10-11 — reuse distance of fdtd2d counter/MAC accesses",
-        "Paper: mass concentrates at distance 0 (sectored-L2 bursts); the "
-        "unified cache shifts reuse from short [1,8] distances toward "
-        "[65,512], i.e. it needs more capacity to catch the same reuse.",
-    ),
-    "fig12": (
-        "Figure 12 — 1 vs 2 AES engines per partition",
-        "Paper: one pipelined engine per partition is enough; metadata "
-        "traffic, not AES throughput, is the bottleneck.",
-    ),
-    "fig13": (
-        "Figure 13 — L2 capacity sensitivity (die-area tradeoff)",
-        "Paper: shrinking L2 from 6 MB to 4 MB barely moves most "
-        "benchmarks; medium-intensity ones with L2-resident hot sets "
-        "degrade most.",
-    ),
-    "fig14": (
-        "Figure 14 — baseline L2 miss rate",
-        "Paper: streaming memory-intensive benchmarks near 100% (e.g. "
-        "streamcluster 97%); compute/tiled ones low.",
-    ),
-    "fig15": (
-        "Figure 15 — direct-encryption latency sweep",
-        "Paper: 1.33% / 3.02% / 5.93% mean slowdown at 40/80/160 cycles; "
-        "nw, b+tree and streamcluster exceed 10% at 160.",
-    ),
-    "fig16": (
-        "Figure 16 — direct vs counter-mode (confidentiality only)",
-        "Paper: direct is nearly free; ctr costs 33.1% on average (66.4% "
-        "for lbm); ctr+BMT 43.9%.",
-    ),
-    "fig17": (
-        "Figure 17 — integrity protection comparison (6 KB budget)",
-        "Paper mean slowdowns: ctr_mac_bmt 63.5%, direct_mac 42.7%, "
-        "direct_mac_mt 71.9% — direct+MAC wins; the 7-level MT is what "
-        "makes full direct-mode integrity expensive. Measured deviation: "
-        "direct_mac_mt lands at ~ctr_mac_bmt rather than clearly below it; "
-        "the scaled per-partition MT is one level shallower than the "
-        "paper's global tree, muting the tree-height penalty.",
-    ),
-    "ablations": (
-        "Extension — ablations of the adopted design choices",
-        "Beyond the paper: speculative verification and lazy update are "
-        "nearly free on GPUs (latency tolerance absorbs blocking checks); "
-        "selective encryption (Zuo et al.) scales the cost smoothly with "
-        "the protected fraction; and on a non-sectored L2 (normalized to a "
-        "non-sectored baseline) much of the secondary-miss amplification "
-        "disappears — confirming Section V-B's causal mechanism.",
-    ),
-    "occupancy": (
-        "Extension — latency tolerance vs occupancy (mechanism of Fig. 15)",
-        "Direct encryption's 160-cycle latency on streamcluster, at "
-        "different warps-per-SM caps: the slowdown shrinks as occupancy "
-        "grows, the TLP argument made explicit.",
-    ),
-    "table6_7": (
-        "Tables VI-VII — die area and L2 displacement",
-        "Paper: AES 0.0036 mm^2 at 12 nm; security hardware displaces "
-        "~1526 KB (24.84%) of the 6 MB L2. Exact arithmetic.",
-    ),
+#: the heading of each section whose table block this script owns, in
+#: paper order.
+SECTIONS = {
+    "table2": "Table II — metadata organization and storage",
+    "table4": "Table IV — baseline characterization",
+    "fig3": "Figure 3 — counter-mode + BMT overhead, idealized designs",
+    "fig4": "Figure 4 — memory-request distribution under secureMem",
+    "fig5": "Figure 5 — secondary misses in metadata caches",
+    "fig6": "Figure 6 — IPC vs metadata-cache MSHRs",
+    "fig7": "Figure 7 — IPC vs metadata cache size",
+    "fig8": "Figure 8 — unified vs separate metadata caches",
+    "fig9": "Figure 9 — metadata miss rates, unified vs separate",
+    "fig10_11": "Figures 10-11 — reuse distance of fdtd2d counter/MAC accesses",
+    "fig12": "Figure 12 — 1 vs 2 AES engines per partition",
+    "fig13": "Figure 13 — L2 capacity sensitivity (die-area tradeoff)",
+    "fig14": "Figure 14 — baseline L2 miss rate",
+    "fig15": "Figure 15 — direct-encryption latency sweep",
+    "fig16": "Figure 16 — direct vs counter-mode (confidentiality only)",
+    "fig17": "Figure 17 — integrity protection comparison (6 KB budget)",
+    "ablations": "Extension — ablations of the adopted design choices",
+    "occupancy": "Extension — latency tolerance vs occupancy (mechanism of Fig. 15)",
+    "table6_7": "Tables VI-VII — die area and L2 displacement",
 }
+
+TOTAL_LINE = re.compile(r"^Total regeneration time: .* minutes\.$", re.MULTILINE)
+
+
+def replace_table(lines: List[str], title: str, body: str) -> None:
+    """Swap the fenced block under ``## title`` for *body*, in place."""
+    heading = lines.index(f"## {title}")  # ValueError names a missing section
+    fence = next(
+        i for i in range(heading + 1, len(lines))
+        if lines[i] == "```" or lines[i].startswith("## ")
+    )
+    if lines[fence] != "```":
+        raise ValueError(f"section '## {title}' has no table block")
+    close = lines.index("```", fence + 1)
+    lines[fence + 1:close] = body.split("\n")
 
 
 def main() -> None:
     parser = argparse.ArgumentParser()
     parser.add_argument("--fast", action="store_true", help="small windows (smoke run)")
-    parser.add_argument("--output", default=str(ROOT / "EXPERIMENTS.md"))
+    parser.add_argument("--output", default=str(TEMPLATE))
     parser.add_argument(
         "--jobs",
         type=int,
@@ -172,35 +101,24 @@ def main() -> None:
         "--stats-json", default=None, help="write the throughput summary as JSON"
     )
     parser.add_argument(
-        "--heartbeat",
-        default=None,
-        metavar="PATH",
-        help="append per-point progress lines (JSONL) here; tail -f to watch",
-    )
-    parser.add_argument(
         "--ledger",
         default=None,
         metavar="PATH",
-        help="append one run-ledger record per point here (JSONL); feeds "
-        "`repro diff` and `repro dashboard`",
+        help="append one run-ledger record per point here (JSONL; tail -f to "
+        "watch); feeds `repro diff` and `repro dashboard`",
     )
     args = parser.parse_args()
 
     horizon, warmup = (3000, 6000) if args.fast else (HORIZON, WARMUP)
-    # a legacy single-file cache at the .json path is imported read-only;
-    # the sharded cache lives in the ``<name>.json.d/`` directory either way.
-    legacy = ROOT / "results" / f"experiments_p{PARTITIONS}_h{horizon}_w{warmup}.json"
-    cache = legacy if legacy.is_file() else legacy.with_name(legacy.name + ".d")
     runner = Runner(
         horizon=horizon,
         warmup=warmup,
-        cache_path=cache,
+        cache_path=ROOT / "results" / f"experiments_p{PARTITIONS}_h{horizon}_w{warmup}",
         jobs=args.jobs,
-        heartbeat_path=args.heartbeat,
         ledger_path=args.ledger,
     )
 
-    sections = []
+    lines = TEMPLATE.read_text().split("\n")
     started = time.time()
 
     def render(table, fmt="{:.3f}"):
@@ -208,7 +126,7 @@ def main() -> None:
         rows += [r for r in table if r not in ORDER]
         return render_series_table("", table, value_format=fmt, row_order=rows)
 
-    for key, (title, expectation) in NARRATIVE.items():
+    for key, title in SECTIONS.items():
         t0 = time.time()
         if key == "table2":
             body = render(figures.table2(), fmt="{:.2f}")
@@ -229,266 +147,13 @@ def main() -> None:
             body = render(figures.occupancy_study(runner, PARTITIONS), fmt="{:.3f}")
         else:
             body = render(figures.ALL_FIGURES[key](runner, PARTITIONS))
-        elapsed = time.time() - t0
-        print(f"[{elapsed:7.1f}s] {title}", flush=True)
-        sections.append(f"## {title}\n\n{expectation}\n\n```\n{body}\n```\n")
+        replace_table(lines, title, body)
+        print(f"[{time.time() - t0:7.1f}s] {title}", flush=True)
 
-    header = f"""# EXPERIMENTS — paper vs. measured
-
-Generated by `python scripts/regenerate_experiments.py` on a scaled GPU
-({PARTITIONS} memory partitions / {PARTITIONS * 80 // 32} SMs, preserving the paper's
-per-partition bandwidth, L2 share, metadata caches and SM:partition ratio),
-measuring a {horizon:,}-cycle window after a {warmup:,}-cycle cache warmup.
-Workloads are the calibrated proxies of `repro.workloads.suite` (see
-DESIGN.md for the substitution rationale).  Normalized-IPC tables are
-relative to the insecure baseline GPU at the same scale; `Gmean` is the
-geometric mean the paper uses.
-
-Absolute numbers are not expected to match the paper (different substrate,
-different scale); the claim reproduced is the *shape*: who wins, by
-roughly what factor, and where the crossovers fall.  Each section states
-the paper's result next to the measured table.
-
-Regeneration accepts `--jobs N` (0 = one worker per core) to fan the
-independent simulation points out over a process pool — results are
-bit-identical to an in-process run — and keeps a sharded, crash-safe
-result cache under `results/` (append-only JSONL shards that gain each
-point as it finishes, compacted atomically on close), so an interrupted
-run resumes from every point it completed.  On an N-core machine a cold
-full regeneration speeds up near-linearly until the figure-level batches
-are smaller than the pool.  `--stats-json PATH` exports points/sec, cache
-hit-rate and per-phase wall time.
-
-Any point here can be re-examined under the telemetry subsystem
-(`python -m repro run <bench> --design <name> --trace DIR`): it emits a Chrome
-`trace_event` file (chrome://tracing / Perfetto), an epoch time-series of
-MSHR occupancy, DRAM backlog and crypto-engine utilization, and the
-per-traffic-class (DATA/COUNTER/MAC/TREE) byte breakdown whose shares are
-Figure 4's request distribution.  Telemetry never changes simulated
-behaviour, so the traced point matches the cached numbers below exactly.
-
-Total regeneration time: {{TOTAL}} minutes.
-
-## Sweep observability
-
-Every regeneration can leave an audit trail and be checked against the
-paper after the fact (`src/repro/obsv/`):
-
-- **Run ledger** — `--ledger PATH` appends one schema-versioned JSON
-  line per `(workload, config)` point: config digest, measurement
-  window, outcome (`simulated` / `cached` / `failed`), wall-clock
-  duration, the key statistics (IPC, cycles, bandwidth utilization, L2
-  miss rate, per-class DRAM transactions), the telemetry-artifact path,
-  and — for failed points — the exception string.  Appends are single
-  writes to a file opened in append mode, so a killed run loses at most
-  one torn final line (skipped at read); re-running against the same
-  cache resumes without duplicate records, and a serial and a parallel
-  run of the same sweep produce record-equivalent ledgers.
-- **Fidelity scorecard** — `python -m repro scorecard` re-evaluates the
-  paper's claims as 39 declarative checks, each citing the paper: the
-  five Section-V conclusions (mean secure-memory IPC loss, lbm as the
-  worst case, separate-beats-unified metadata caches, cheap direct
-  encryption, one-AES-engine sufficiency) with pass/warn/fail tolerance
-  bands, and hard bounds on the shape of Table IV, Figs. 3-9 and 12-17
-  and the extensions.  It reads this cache (pure cache hits), or
-  re-simulates every point into an empty one (`--cache DIR`).
-  `--json scorecard.json` exports the document; the command exits 1
-  when any check FAILs.
-- **Sweep diffing** — `python -m repro diff A B` joins two ledgers
-  point-by-point (`--match workload` to compare different configs),
-  compares each key statistic under a noise-aware relative tolerance
-  with a direction (lower IPC regresses, fewer cycles improve), flags
-  per-workload outliers with a robust MAD z-score, and merges each
-  sweep's persisted latency histograms for an end-to-end tail
-  comparison.  Exit 1 on any regression.
-- **Dashboard** — `python -m repro dashboard -o report.html` renders
-  ledger, heartbeat progress, scorecard, per-class traffic, bottleneck
-  stalls and the `BENCH_*.json` perf trajectory into one self-contained
-  HTML file (inline CSS/JS/SVG, no external requests) suitable for CI
-  artifacts.  `--telemetry DIR` takes one point's artifacts from
-  `repro run --trace`: its stall table and DRAM bytes by class.
-
-Observability is strictly passive: ledger and heartbeat writes are
-best-effort and never fail the sweep they observe, and none of these
-artifacts participate in result caching.
-
-## Sweep service
-
-Sweeps can also run as *rows in a shared job store* drained by any
-number of workers (`src/repro/jobs/`), decoupling submission from
-execution: `repro sweep --store sweeps.sqlite ...` (or a `POST /sweeps`
-against `repro serve`) inserts one row per `(workload, design)` point,
-and every `repro worker --store sweeps.sqlite` — local or on another
-host sharing the filesystem — claims rows, simulates them through the
-same `Runner` stack (process-warm state, the sharded result cache opened
-read-only, a per-worker run ledger), and reports results back into the
-row.  The simulator is deterministic, so any number of workers produce a
-merged sweep bit-identical to a serial run — the tests assert it,
-including after a worker is killed mid-point.
-
-**Store schema** (SQLite, WAL mode, versioned via `PRAGMA
-user_version`): a `sweeps` table — `id`, `created_ts`, `horizon`,
-`warmup`, `total`, `label` — and a `jobs` table — `sweep_id`, `seq`,
-`workload`, JSON `spec` (`{{"design": ..., "partitions": N}}`), `status`
-(`pending`/`running`/`done`/`failed`), `attempts`, `max_attempts`,
-`not_before`, `worker`, `lease_deadline`, timings, `outcome`,
-`config_digest`, JSON `result`, `error`.  The store class is a thin
-DB-API mapping; another backend subclasses `SQLiteJobStore._connect`
-plus the statement templates.
-
-**Worker lifecycle**: claim the oldest eligible pending row (atomic
-`UPDATE ... WHERE status='pending'` — of N racing workers exactly one
-wins), heartbeat the lease forward at a third of its period while the
-point simulates, then report `simulated`/`cached` with the full result
-payload, or `failed` with capped exponential backoff stamped into
-`not_before`.  A killed worker stops heartbeating; the next worker
-iteration or service progress query returns the lapsed lease to
-`pending`, and a row that keeps failing is poison-failed after
-`max_attempts` claims so one bad config cannot wedge a sweep.  A late
-report from a worker whose lease was reassigned is refused.
-
-**HTTP front end** (stdlib `http.server`, JSON, no frameworks):
-
-```bash
-python -m repro serve --store sweeps.sqlite --workers 2 &
-curl -s localhost:8076/healthz
-curl -s -X POST localhost:8076/sweeps -H 'Content-Type: application/json' \\
-  -d '{{"design": "secureMem_mshr64", "workloads": ["bfs", "nw"],
-       "partitions": 2, "horizon": 10000, "warmup": 30000}}'
-curl -s localhost:8076/sweeps/<id>              # counts, rate, ETA, failures
-curl -s localhost:8076/sweeps/<id>/results      # terminal rows + payloads
-curl -s localhost:8076/sweeps/<id>/dashboard > report.html
-```
-
-The dashboard endpoint synthesizes ledger-shaped records and heartbeat
-lines from store rows, so the self-contained HTML report works even when
-the workers' ledger files are on another machine.  CLI sweeps
-(`repro sweep --store`) and HTTP sweeps are rows in the same table —
-one execution path either way.  `scripts/serve_smoke.py` exercises the
-whole loop (serve → submit over HTTP → drain → dashboard) and runs in CI.
-
-## Fleet observability
-
-Every process in the sweep fleet carries a **metrics registry**
-(`src/repro/obsv/metrics.py` — dependency-free counters, gauges, and
-log2-bucket histograms built on the telemetry layer's `LogHistogram`):
-the store counts claims/reports/requeues/poison-fails and times each
-SQLite op (`repro_store_op_us{{op=...}}`), the worker counts points by
-outcome and buckets per-point wall time, and the service labels every
-HTTP request by method/endpoint/status (sweep ids folded to `{{id}}` so
-the label set stays bounded).  Workers persist a JSON snapshot of their
-registry into the store's `workers` table on the heartbeat path, so the
-service sees throughput for worker processes on other hosts with no
-network path between them — the store is the only rendezvous.
-
-```bash
-curl -s localhost:8076/metrics                               # Prometheus text
-curl -s "localhost:8076/sweeps/<id>/events?since=0&timeout=25"   # long-poll
-repro top --url http://localhost:8076                        # live fleet screen
-repro top --store sweeps.sqlite --once                       # one frame, no server
-repro serve --store sweeps.sqlite --access-log access.jsonl  # structured log
-```
-
-`GET /metrics` merges three sources into one exposition: the service's
-own registry (request counters and duration histograms rendered as
-cumulative `_bucket`/`_sum`/`_count` series), gauges derived from store
-rows (`repro_store_jobs{{status=...}}`, `repro_store_sweeps`,
-`repro_fleet_workers`, per-worker last-seen age), and every persisted
-worker snapshot stamped with a `worker="<id>"` label — one scrape shows
-`repro_worker_points_total{{outcome=...}}` and `repro_worker_points_per_s`
-for the whole fleet.  Worker snapshots are plain JSON,
-`{{"schema": 1, "metrics": {{name: {{kind, help, labels, series: [...]}}}}}}`
-— counter/gauge series carry a `value`, histogram series carry the
-log2-bucket `hist` dict the telemetry layer already persists.
-
-`GET /sweeps/<id>/events?since=<ts>&timeout=<s>` long-polls terminal
-events: it returns as soon as a point finishes after the `since` cursor
-(result payloads omitted — follow up with `/results`), immediately when
-the sweep is already terminal, or with an empty list at the timeout.
-`repro top` renders the same fleet state as text, reading the store
-directly (`--store`) or scraping `/sweeps` + `/metrics` over HTTP
-(`--url`); `--once` prints one frame (CI-friendly), otherwise it
-redraws every `--interval` seconds:
-
-```
-repro top — sweeps.sqlite
-1 sweep(s), 0 running · 1 worker(s), 0 busy · 10:38:35
-
-sweep         label  status  done  fail  pts/s  eta
-------------  -----  ------  ----  ----  -----  ---
-3725a9b57bb9  demo   done    2/2   0     5.50   -
-
-worker      state  sim  cached  fail  pts/s  seen
-----------  -----  ---  ------  ----  -----  ----
-host1-3021  idle   2    0       0     95.21  0s
-```
-
-`--access-log PATH` writes through the structured logger
-(`src/repro/obsv/logging.py`): one JSON line per request — `{{"ts":
-1786185400.873, "level": "info", "event": "http.request", "method":
-"GET", "path": "/healthz", "status": 200, "duration_ms": 0.4,
-"trace_id": "..."}}` — rolled to `<path>.1` before it would exceed
-`--access-log-max-bytes` (default 64 MiB); off by default.  All of it
-is strictly passive:
-the simulation core never touches the registry (the default
-`NULL_METRICS` stub absorbs everything behind one attribute load, and
-the runner guards even that), golden dumps stay bit-identical, and
-`scripts/perf_smoke.py` records the instrumented-vs-null worker-drain
-overhead in `BENCH_parallel.json` under `metrics_registry` to keep it
-honest.  `scripts/serve_smoke.py` scrapes `/metrics` mid-CI and asserts
-the worker's claim/report counters made it through the store.
-
-## Distributed tracing
-
-A sweep that crosses three process kinds — service, workers, simulator
-— gets one correlated timeline (`src/repro/obsv/spans.py`).  `POST
-/sweeps` opens an `http.submit` request span and mints the sweep's
-trace id; the store persists the id with the sweep and stamps every job
-row with a W3C-style `traceparent`
-(`00-<32 hex trace>-<16 hex span>-<flags>`), so trace context crosses
-hosts the same way results do — through the SQLite store, with no
-network path between workers required.  Workers parse the job's
-traceparent (malformed context is dropped and the point simply runs
-untraced, per the W3C processing model), record a pre-measured
-`worker.claim` span, wrap execution in a `worker.execute` span whose
-lease heartbeats ride along as instant events, and hand the context to
-the `Runner`, which nests `runner.point` ⊃ `runner.simulate` spans
-underneath and stamps `trace_id`/`span_id` into its ledger records and
-telemetry metadata.  Every finished span lands back in the store's
-`spans` table — the same rendezvous the results use.
-
-```bash
-repro spans <sweep-id> --store sweeps.sqlite         # indented span tree
-repro spans <sweep-id> --url http://localhost:8076   # same, over HTTP
-repro spans <sweep-id> --store ... --chrome t.json   # Perfetto trace_event
-curl -s localhost:8076/sweeps/<id>/spans             # raw span records
-```
-
-The span tree shows request ⊃ claim/execute ⊃ point ⊃ simulate with
-per-span wall offsets and durations; `--chrome` exports the Chrome
-`trace_event` format with one lane per component (`service`,
-`worker:<id>`, `runner`), loadable in ui.perfetto.dev, and the
-dashboard's "Sweep timeline" section renders the same spans as an SVG
-Gantt.  The serve process also runs a background **reaper thread**
-(every `--reaper-interval` seconds, default half the worker lease) so
-expired leases requeue even when nobody polls — passes counted by
-`repro_reaper_passes_total` — and idle workers back off exponentially
-with a deterministic per-worker jitter factor seeded by worker id, so
-a fleet never polls the store in lockstep.
-
-Tracing follows the observability ground rules: spans take their
-timeline position from the wall clock but their duration from a
-monotonic clock, sinks swallow their own errors, the disabled path
-(`NULL_SPANS`) costs one attribute check, and untraced ledger records
-carry no trace fields at all — `tests/test_spans.py` asserts traced
-and untraced sweeps stay canonical-record identical, and
-`scripts/serve_smoke.py` validates one trace id across the whole
-HTTP → worker → simulator flow in CI.
-"""
-
-    text = header + "\n" + "\n".join(sections)
     total_min = (time.time() - started) / 60
-    text = text.replace("{TOTAL}", f"{total_min:.1f}")
+    text = TOTAL_LINE.sub(
+        f"Total regeneration time: {total_min:.1f} minutes.", "\n".join(lines)
+    )
     Path(args.output).write_text(text)
     runner.close()
     print(f"wrote {args.output} in {total_min:.1f} min")

@@ -346,18 +346,15 @@ def _build_parser() -> argparse.ArgumentParser:
     scorecard.add_argument(
         "--cache",
         default=None,
-        metavar="PATH",
-        help="result cache (default: results/experiments_p<P>_h<H>_w<W>.json, "
+        metavar="DIR",
+        help="sharded result cache (default: results/experiments_p<P>_h<H>_w<W>, "
         "the regeneration cache for the chosen scale)",
     )
     scorecard.add_argument(
-        "--ledger", default=None, metavar="PATH", help="append a run ledger here"
-    )
-    scorecard.add_argument(
-        "--heartbeat",
+        "--ledger",
         default=None,
         metavar="PATH",
-        help="progress heartbeat JSONL (parallel runs only)",
+        help="append a run ledger here, one line per point as it finishes",
     )
     scorecard.add_argument(
         "--json",
@@ -396,10 +393,10 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     dashboard.add_argument("--title", default="Sweep observability report")
     dashboard.add_argument(
-        "--ledger", default=None, metavar="PATH", help="run-ledger JSONL"
-    )
-    dashboard.add_argument(
-        "--heartbeat", default=None, metavar="PATH", help="heartbeat JSONL"
+        "--ledger",
+        default=None,
+        metavar="PATH",
+        help="run-ledger JSONL; also the source of the sweep's progress",
     )
     dashboard.add_argument(
         "--scorecard",
@@ -867,24 +864,16 @@ def _cmd_scorecard(args) -> int:
             file=sys.stderr,
         )
         return 2
-    if args.cache is not None:
-        cache = Path(args.cache)
-    else:
-        # the regeneration cache for this scale: a populated results/
-        # directory makes the default scale pure cache reads.
-        cache = Path("results") / (
-            f"experiments_p{args.partitions}_h{args.horizon:g}_w{args.warmup:g}.json"
-        )
-        if not cache.is_file():
-            sharded = cache.with_name(cache.name + ".d")
-            cache = sharded if sharded.is_dir() else cache
-    # the runner opens both cache formats (legacy single-file and sharded).
+    # the default is the regeneration cache for this scale: the shipped
+    # results/ directory makes the default scale pure cache reads.
+    cache = args.cache or Path("results") / (
+        f"experiments_p{args.partitions}_h{args.horizon:g}_w{args.warmup:g}"
+    )
     runner = Runner(
         horizon=args.horizon,
         warmup=args.warmup,
         cache_path=cache,
         jobs=args.jobs,
-        heartbeat_path=args.heartbeat,
         ledger_path=args.ledger,
     )
     with runner:
@@ -934,7 +923,7 @@ def _cmd_diff(args) -> int:
 
 
 def _cmd_dashboard(args) -> int:
-    from repro.obsv.dashboard import build_dashboard, load_json, load_jsonl, load_telemetry
+    from repro.obsv.dashboard import build_dashboard, load_json, load_telemetry
     from repro.obsv.ledger import read_ledger
 
     bench_paths = (
@@ -953,7 +942,6 @@ def _cmd_dashboard(args) -> int:
         name: str(value)
         for name, value in (
             ("ledger", args.ledger),
-            ("heartbeat", args.heartbeat),
             ("scorecard", args.scorecard),
             ("telemetry", args.telemetry),
         )
@@ -964,7 +952,6 @@ def _cmd_dashboard(args) -> int:
     html_text = build_dashboard(
         title=args.title,
         ledger_records=read_ledger(args.ledger) if args.ledger else None,
-        heartbeat_lines=load_jsonl(args.heartbeat),
         scorecard=load_json(args.scorecard),
         latency=latency,
         class_bytes=class_bytes,
@@ -1042,6 +1029,14 @@ def main(argv: Optional[List[str]] = None) -> int:
     except ValueError as exc:
         # the message starts with the bound's name, which is also its flag.
         print(f"error: --{exc}", file=sys.stderr)
+        return 2
+    cache = getattr(args, "cache", None)
+    if cache is not None and Path(cache).is_file():
+        print(
+            f"error: --cache {cache} is a file; the result cache is a "
+            "directory of shard-*.jsonl files",
+            file=sys.stderr,
+        )
         return 2
     if args.command == "run":
         return _cmd_run(args)

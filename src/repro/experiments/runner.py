@@ -14,7 +14,7 @@ batches of points up front; it
    one point is pending, else over a
    :class:`concurrent.futures.ProcessPoolExecutor`, and
 3. **merges** each point the moment it finishes: telemetry artifacts,
-   cache append, memo, ledger record, metrics and heartbeat line.
+   cache append, memo and ledger record.
 
 :meth:`Runner.run` on a miss is a one-point batch.  The simulator is
 deterministic, so a point simulated in a pool worker produces a
@@ -35,7 +35,7 @@ first; :meth:`ShardedResultCache.compact` (run by :meth:`Runner.close`)
 rewrites each shard atomically via tmp + ``os.replace`` with one line per
 key in sorted order, so compacted shards are deterministic.  A torn final
 line (the only damage a kill can inflict on an append) is skipped at load
-time, and a legacy single-file JSON cache is imported read-only.
+time.
 """
 
 from __future__ import annotations
@@ -196,23 +196,10 @@ class ShardedResultCache:
 
     def _load(self) -> None:
         if self.directory.is_file():
-            # A legacy single-file JSON cache at this path: import it
-            # read-only, then keep the shards in a sibling directory.
-            try:
-                legacy = json.loads(self.directory.read_text())
-                if not isinstance(legacy, dict):
-                    raise ValueError(
-                        f"expected a JSON object, got {type(legacy).__name__}"
-                    )
-                self._data.update(
-                    {k: v for k, v in legacy.items() if isinstance(v, dict)}
-                )
-            except (ValueError, OSError) as exc:  # JSONDecodeError is a ValueError
-                warnings.warn(
-                    f"ignoring corrupt result cache {self.directory}: {exc}",
-                    RuntimeWarning,
-                )
-            self.directory = self.directory.with_name(self.directory.name + ".d")
+            raise NotADirectoryError(
+                f"result cache {self.directory} is a file, not a directory "
+                "of shard-*.jsonl files"
+            )
         if not self.directory.is_dir():
             return
         for index in range(self.num_shards):
@@ -272,8 +259,7 @@ class ShardedResultCache:
         A session that never wrote (pure cache reads, e.g. a scorecard
         over a warm cache) skips compaction entirely: puts are durable
         the moment they happen, so there is nothing to rewrite, and a
-        read-only consumer must not materialize shards from a legacy
-        single-file cache it imported.
+        read-only consumer leaves the disk untouched.
         """
         if not self._data or not self._mutated:
             return
@@ -347,96 +333,27 @@ class RunnerStats:
         return " | ".join(parts)
 
 
+@dataclasses.dataclass
 class _Batch:
-    """One prefetch batch's progress, mirrored to the heartbeat sidecar."""
+    """One prefetch batch's tally: merged points, failures, merge time."""
 
-    def __init__(self, heartbeat_path: Optional[Path], total: int) -> None:
-        self.heartbeat_path = heartbeat_path
-        self.total = total
-        self.done = 0  # points finished, failed ones included
-        self.completed = 0  # points merged
-        self.errors: List[Exception] = []
-        self.merge_s = 0.0
-        # leading record: lets consumers compute progress/ETA before the
-        # first point completes (and tells "just started" from "no
-        # heartbeat at all").
-        self._append({"event": "start", "ts": time.time(), "total": total})
-        self.started = time.perf_counter()
-
-    def _append(self, record: dict) -> None:
-        if self.heartbeat_path is None:
-            return
-        try:
-            self.heartbeat_path.parent.mkdir(parents=True, exist_ok=True)
-            with open(self.heartbeat_path, "a") as fh:
-                fh.write(json.dumps(record) + "\n")
-        except OSError:
-            # observability must never fail the sweep it observes.
-            pass
-
-    def tick(self) -> None:
-        """Count one finished point and append its progress line."""
-        self.done += 1
-        if self.heartbeat_path is None:
-            return
-        elapsed = time.perf_counter() - self.started
-        rate = self.done / elapsed if elapsed > 0.0 else 0.0
-        eta = (self.total - self.done) / rate if rate > 0.0 else None
-        self._append(
-            {
-                "ts": time.time(),
-                "done": self.done,
-                "total": self.total,
-                "elapsed_s": round(elapsed, 3),
-                "points_per_s": round(rate, 3),
-                "eta_s": round(eta, 3) if eta is not None else None,
-            }
-        )
-
-    def close(self) -> float:
-        """Append the terminal ``done`` line; returns the batch wall time.
-
-        Its presence distinguishes a finished sweep from one whose process
-        died mid-batch; ``status`` records whether every point completed
-        (an interrupted batch ends with points unfinished).
-        """
-        elapsed = time.perf_counter() - self.started
-        rate = self.completed / elapsed if elapsed > 0.0 else 0.0
-        self._append(
-            {
-                "event": "done",
-                "ts": time.time(),
-                "done": self.completed,
-                "total": self.total,
-                "elapsed_s": round(elapsed, 3),
-                "points_per_s": round(rate, 3),
-                "status": "failed" if self.errors or self.done < self.total else "ok",
-                "failures": len(self.errors),
-            }
-        )
-        return elapsed
+    completed: int = 0
+    errors: List[Exception] = dataclasses.field(default_factory=list)
+    merge_s: float = 0.0
+    started: float = dataclasses.field(default_factory=time.perf_counter)
 
 
 class Runner:
     """Runs (workload, config) points once and remembers the answers.
 
-    ``cache_path`` names a *directory* holding the sharded result cache (a
-    legacy single-file JSON cache at that path is imported read-only);
+    ``cache_path`` names the directory holding the sharded result cache;
     ``cache_read_only`` keeps new results in memory instead of appending
     them.  ``jobs`` chooses how a batch simulates: 1 (the default) in this
     process, N over a pool of N processes, 0 or None one per core.
 
-    ``heartbeat_path`` names a JSONL sidecar that gets one leading
-    ``{"event": "start", "total": N, ...}`` line per batch that will
-    simulate anything (consumers can size progress bars before the first
-    point lands), one appended line per *finished* point (``{ts, done,
-    total, elapsed_s, points_per_s, eta_s}``) and one terminal
-    ``{"event": "done", ...}`` line per batch, so a long sweep can be
-    watched from another terminal with ``tail -f`` and a dead one told
-    apart from a slow one.  Counts are per :meth:`prefetch` batch (a
-    :meth:`run` miss is a one-point batch).  Heartbeats are best-effort:
-    an unwritable path never fails the sweep, and the file plays no part
-    in result merging or caching.
+    ``ledger_path`` names the run ledger, which gets one line per point
+    as it finishes: ``tail -f`` it to watch a long sweep, and ``repro
+    dashboard --ledger`` renders its progress across every batch.
     """
 
     def __init__(
@@ -447,45 +364,18 @@ class Runner:
         cache_path: Optional[str | Path] = None,
         jobs: Optional[int] = 1,
         telemetry_dir: Optional[str | Path] = None,
-        heartbeat_path: Optional[str | Path] = None,
         ledger_path: Optional[str | Path] = None,
         cache_read_only: bool = False,
-        metrics=None,
     ) -> None:
         self.horizon = horizon
         self.warmup = warmup
         self.jobs = max(1, jobs or os.cpu_count() or 1)
-        # Live metrics are opt-in and NULL by default: the sim hot path
-        # must cost nothing when nobody is watching.  Guarded by a plain
-        # bool so the default path never even calls the null stubs.
-        if metrics is None:
-            # deferred import: repro.obsv.scorecard imports this module.
-            from repro.obsv.metrics import NULL_METRICS
-
-            metrics = NULL_METRICS
-        self.metrics = metrics
-        self._metrics_on = bool(metrics.enabled)
-        if self._metrics_on:
-            self._m_points = metrics.counter(
-                "repro_runner_points_total",
-                "Points resolved by this runner, by outcome",
-                labels=("outcome",),
-            )
-            self._m_rate = metrics.gauge(
-                "repro_runner_points_per_s",
-                "Simulation throughput over this runner's lifetime",
-            )
-            self._m_hit_ratio = metrics.gauge(
-                "repro_runner_cache_hit_ratio",
-                "Fraction of lookups served from memory or disk cache",
-            )
         self.benchmarks = list(benchmarks) if benchmarks is not None else list(BENCHMARK_ORDER)
         #: where per-point telemetry artifacts land (next to the result
         #: cache, one subdirectory per simulated point).  None disables
         #: persistence; points whose configs have telemetry off export
         #: nothing either way.
         self.telemetry_dir = Path(telemetry_dir) if telemetry_dir else None
-        self.heartbeat_path = Path(heartbeat_path) if heartbeat_path else None
         #: optional run ledger — one append-only JSONL record per point
         #: that reached disk (simulated, served from the disk cache, or
         #: failed).  Memory hits are never recorded: they are re-reads of
@@ -497,11 +387,11 @@ class Runner:
 
             self.ledger = RunLedger(ledger_path)
         self.stats = RunnerStats()
-        # Distributed-trace context, NULL by default (same discipline as
-        # metrics): a worker executing a claimed job injects a recorder +
-        # parent span via set_trace_context, and every site below guards
-        # on the plain bool so the untraced path — the one golden dumps
-        # are recorded on — does no extra work.
+        # Distributed-trace context, NULL by default: a worker executing a
+        # claimed job injects a recorder + parent span via
+        # set_trace_context, and every site below guards on the plain
+        # bool so the untraced path — the one golden dumps are recorded
+        # on — does no extra work.
         self._spans = None
         self._span_parent = None
         self._spans_on = False
@@ -599,14 +489,10 @@ class Runner:
 
     def _memory_hit(self, key: Tuple[str, str]) -> None:
         self.stats.memory_hits += 1
-        if self._metrics_on:
-            self._m_points.labels("memory_hit").inc()
         self._point_span(key, "memory_hit")
 
     def _disk_hit(self, key: Tuple[str, str], payload: dict) -> None:
         self.stats.disk_hits += 1
-        if self._metrics_on:
-            self._m_points.labels("disk_hit").inc()
         result = result_from_dict(payload)
         self._memory[key] = result
         trace_id, span_id = self._point_span(key, "cached")
@@ -640,11 +526,8 @@ class Runner:
             trace_id=trace_id, span_id=span_id,
         )
         self.stats.points_simulated += 1
-        if self._metrics_on:
-            self._m_points.labels("simulated").inc()
         batch.completed += 1
         batch.merge_s += time.perf_counter() - t0
-        batch.tick()
 
     def _fail(
         self, batch: _Batch, key: Tuple[str, str], exc: Exception,
@@ -658,7 +541,6 @@ class Runner:
             error=f"{type(exc).__name__}: {exc}",
             trace_id=trace_id, span_id=span_id,
         )
-        batch.tick()
 
     # -- plan / simulate / merge ----------------------------------------
 
@@ -713,20 +595,17 @@ class Runner:
         self.stats.add_phase("plan", time.perf_counter() - t0)
         if not pending:
             return 0
-        batch = _Batch(self.heartbeat_path, len(pending))
+        batch = _Batch()
         try:
             if self.jobs == 1 or len(pending) == 1:
                 self._simulate_in_process(pending, batch)
             else:
                 self._simulate_in_pool(pending, batch)
         finally:
-            wall = batch.close()
+            wall = time.perf_counter() - batch.started
             self.stats.sim_seconds += wall
             self.stats.add_phase("simulate", wall - batch.merge_s)
             self.stats.add_phase("merge", batch.merge_s)
-            if self._metrics_on:
-                self._m_rate.set(self.stats.points_per_second)
-                self._m_hit_ratio.set(self.stats.cache_hit_rate)
         if batch.errors:
             # finished points are already durably cached and ledgered;
             # surface the first failure to the caller.

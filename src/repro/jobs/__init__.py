@@ -9,9 +9,8 @@ hosts sharing a filesystem — claim under a lease, execute through the
 existing :class:`~repro.experiments.runner.Runner` stack, and report
 back durably:
 
-* :mod:`repro.jobs.store` — the :class:`JobStore` protocol and its
-  SQLite implementation (WAL mode, atomic claims, lease deadlines,
-  capped retries, schema versioning);
+* :mod:`repro.jobs.store` — the SQLite job store (WAL mode, atomic
+  claims, lease deadlines, capped retries, schema versioning);
 * :mod:`repro.jobs.worker` — the worker loop (`repro worker`): claim,
   simulate via ``Runner`` (warm state, sharded result cache, and run
   ledger all reused), heartbeat the lease, back off on transient
@@ -43,7 +42,6 @@ across a worker crash mid-point.
 from repro.jobs.store import (
     JOB_SCHEMA,
     Job,
-    JobStore,
     SQLiteJobStore,
     open_store,
     span_sink,
@@ -54,7 +52,6 @@ from repro.jobs.service import SweepService, serve
 __all__ = [
     "JOB_SCHEMA",
     "Job",
-    "JobStore",
     "SQLiteJobStore",
     "SweepService",
     "Worker",

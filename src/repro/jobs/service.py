@@ -23,7 +23,7 @@ API (all JSON unless noted)::
     GET  /sweeps/<id>/results     terminal rows incl. result payloads
     GET  /sweeps/<id>/events      long-poll: terminal events after
          ?since=TS&timeout=S      ``since``; returns early when any land
-    GET  /sweeps/<id>/dashboard   the PR-5 self-contained HTML report
+    GET  /sweeps/<id>/dashboard   the self-contained HTML report
                                   (text/html), synthesized from store rows
     GET  /sweeps/<id>/spans       the sweep's distributed-trace span
                                   records (submit/claim/execute/simulate)
@@ -115,7 +115,7 @@ EVENTS_POLL_S = 0.2
 
 
 def sweep_ledger_records(store: SQLiteJobStore, sweep_id: str) -> List[dict]:
-    """PR-5 ledger-shaped point records synthesized from store rows.
+    """Ledger-shaped point records synthesized from store rows.
 
     Lets the dashboard (and anything else ledger-driven) read a
     service-run sweep without the workers' ledger files being reachable
@@ -150,48 +150,6 @@ def sweep_ledger_records(store: SQLiteJobStore, sweep_id: str) -> List[dict]:
             }
         )
     return records
-
-
-def sweep_heartbeat_lines(store: SQLiteJobStore, sweep_id: str) -> List[dict]:
-    """Heartbeat-JSONL-shaped progress lines from store timestamps."""
-    progress = store.progress(sweep_id)
-    total = progress["total"]
-    started = progress["created_ts"]
-    lines: List[dict] = [{"event": "start", "ts": started, "total": total}]
-    done_ts = sorted(
-        row["done_ts"]
-        for row in store.results(sweep_id)
-        if row["status"] == "done" and row["done_ts"] is not None
-    )
-    for done, ts in enumerate(done_ts, start=1):
-        elapsed = max(ts - started, 1e-9)
-        rate = done / elapsed
-        remaining = total - done
-        lines.append(
-            {
-                "ts": ts,
-                "done": done,
-                "total": total,
-                "elapsed_s": round(elapsed, 3),
-                "points_per_s": round(rate, 3),
-                "eta_s": round(remaining / rate, 3) if rate > 0 else None,
-            }
-        )
-    if progress["status"] in ("done", "failed"):
-        failures = len(progress["failures"])
-        lines.append(
-            {
-                "event": "done",
-                "ts": progress["last_done_ts"] or time.time(),
-                "done": total - failures,
-                "total": total,
-                "elapsed_s": progress["elapsed_s"],
-                "points_per_s": progress["points_per_s"],
-                "status": "failed" if failures else "ok",
-                "failures": failures,
-            }
-        )
-    return lines
 
 
 def validate_submission(body: dict) -> Tuple[List[Tuple[str, dict]], dict]:
@@ -699,7 +657,7 @@ class _Handler(BaseHTTPRequestHandler):
         html_text = build_dashboard(
             title=f"Sweep {sweep_id}" + (f" — {progress['label']}" if progress["label"] else ""),
             ledger_records=sweep_ledger_records(store, sweep_id),
-            heartbeat_lines=sweep_heartbeat_lines(store, sweep_id),
+            progress=progress,
             fleet=store.workers_seen(),
             spans=store.spans(sweep_id),
             sources={"job store": str(self.server.store_path), "sweep": sweep_id},

@@ -14,7 +14,7 @@ a small, explicit state machine::
 
 Claims are **leases**: a claim stamps the worker id and a lease deadline
 onto the row, the worker heartbeats the deadline forward while it
-simulates, and :meth:`JobStore.requeue_expired` returns rows whose
+simulates, and :meth:`SQLiteJobStore.requeue_expired` returns rows whose
 deadline passed to ``pending`` — so a worker killed mid-point loses the
 claim, not the point.  A row that keeps expiring or failing is poisoned
 after ``max_attempts`` claims and marked ``failed`` so one bad config
@@ -33,13 +33,6 @@ in :meth:`SQLiteJobStore.wait_for_change`, which watches ``PRAGMA
 data_version``: a commit on any other connection, in any process,
 wakes them within milliseconds.  Every idle worker wakes on the same
 commit and races to claim; the claim's re-check above settles the race.
-
-The class is deliberately a thin mapping onto the DB-API: every
-statement is a class-level template using ``qmark`` placeholders, and a
-different DB-API backend (PostgreSQL, MySQL, ...) can subclass and
-override :meth:`SQLiteJobStore._connect` plus the templates, and
-:meth:`SQLiteJobStore.data_version` with its own change counter —
-nothing else in the subsystem knows it is talking to SQLite.
 """
 
 from __future__ import annotations
@@ -51,7 +44,7 @@ import threading
 import time
 import uuid
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Protocol, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.obsv.metrics import NULL_METRICS, snapshot_to_json
 from repro.obsv.spans import SPAN_SCHEMA, format_traceparent, new_span_id, new_trace_id
@@ -105,72 +98,6 @@ class Job:
     #: W3C-style trace context inherited from the submit request, so a
     #: worker on another host can hang its spans under the same trace.
     traceparent: Optional[str] = None
-
-
-class JobStore(Protocol):
-    """What the worker loop and the HTTP service need from a backend.
-
-    Implementations must make :meth:`claim` atomic across concurrent
-    workers (two workers can never hold the same job), and
-    :meth:`report` must be a no-op returning ``False`` when the caller
-    no longer owns the row (its lease expired and someone else claimed
-    it) so a slow worker cannot clobber a re-run's result.
-    """
-
-    def submit_sweep(
-        self,
-        points: Sequence[Tuple[str, dict]],
-        horizon: float,
-        warmup: float,
-        label: Optional[str] = None,
-        max_attempts: int = DEFAULT_MAX_ATTEMPTS,
-        trace_id: Optional[str] = None,
-        parent_span: Optional[str] = None,
-    ) -> str: ...
-
-    def claim(self, worker_id: str, lease_s: float) -> Optional[Job]: ...
-
-    def heartbeat(self, job_id: int, worker_id: str, lease_s: float) -> bool: ...
-
-    def report(
-        self,
-        job_id: int,
-        worker_id: str,
-        outcome: str,
-        result: Optional[dict] = None,
-        error: Optional[str] = None,
-        duration_s: Optional[float] = None,
-        config_digest: Optional[str] = None,
-        retry_in_s: float = 0.0,
-    ) -> bool: ...
-
-    def requeue_expired(self) -> Tuple[int, int]: ...
-
-    def data_version(self) -> int: ...
-
-    def wait_for_change(self, seen: int, timeout_s: float) -> bool: ...
-
-    def progress(self, sweep_id: str) -> dict: ...
-
-    def counts(self) -> Dict[str, int]: ...
-
-    def sweeps(self) -> List[dict]: ...
-
-    def results(self, sweep_id: str) -> List[dict]: ...
-
-    def events(self, sweep_id: str, since: float) -> List[dict]: ...
-
-    def record_worker(
-        self, worker_id: str, snapshot: dict, started_ts: Optional[float] = None
-    ) -> None: ...
-
-    def workers_seen(self, max_age_s: Optional[float] = None) -> List[dict]: ...
-
-    def record_span(self, sweep_id: str, record: dict) -> None: ...
-
-    def spans(self, sweep_id: str) -> List[dict]: ...
-
-    def close(self) -> None: ...
 
 
 class SQLiteJobStore:
@@ -294,7 +221,7 @@ class SQLiteJobStore:
         )
 
     def _connect(self, timeout_s: float) -> sqlite3.Connection:
-        """Open the backend connection (override for another DB-API)."""
+        """Open the SQLite connection: autocommit, WAL mode."""
         conn = sqlite3.connect(
             str(self.path),
             timeout=timeout_s,
@@ -660,14 +587,17 @@ class SQLiteJobStore:
             ]
         total = sweep["total"]
         terminal = counts["done"] + counts["failed"]
-        now = time.time()
+        last_done = max(done_ts) if done_ts else None
+        # A finished sweep's clock stops at its last report, so its rate
+        # is the one it finished at, not one that decays with each read.
+        end = last_done if terminal == total and last_done else time.time()
         # Rate and ETA must degrade to explicit nulls, never division
         # artifacts: a cross-host clock ahead of ours makes created_ts
         # sit in the future (elapsed clamps to 0, not to an epsilon that
         # would fabricate a ~1e9 points/s rate), zero completed points
         # means no rate basis at all, and an all-failed sweep has no
         # remaining work an ETA could describe.
-        elapsed = max(now - sweep["created_ts"], 0.0)
+        elapsed = max(end - sweep["created_ts"], 0.0)
         rate = counts["done"] / elapsed if counts["done"] and elapsed > 0 else 0.0
         remaining = total - terminal
         eta = remaining / rate if rate > 0 and remaining > 0 else None
@@ -689,7 +619,7 @@ class SQLiteJobStore:
             "elapsed_s": round(elapsed, 3),
             "points_per_s": round(rate, 4),
             "eta_s": round(eta, 3) if eta is not None else None,
-            "last_done_ts": max(done_ts) if done_ts else None,
+            "last_done_ts": last_done,
             "workers": workers,
             "failures": failures,
         }
@@ -712,9 +642,7 @@ class SQLiteJobStore:
                 "UPDATE workers SET updated_ts=?, metrics=? WHERE id=?",
                 (now, payload, worker_id),
             )
-            if cur.rowcount == 0:
-                # UPDATE-then-INSERT instead of SQLite's UPSERT syntax so
-                # the statement set stays portable across DB-API backends.
+            if cur.rowcount == 0:  # the worker's first snapshot
                 self._conn.execute(
                     "INSERT INTO workers (id, started_ts, updated_ts, metrics)"
                     " VALUES (?, ?, ?, ?)",
@@ -919,7 +847,7 @@ class SQLiteJobStore:
         return out
 
 
-def span_sink(store: JobStore, sweep_id: str):
+def span_sink(store: SQLiteJobStore, sweep_id: str):
     """A :class:`~repro.obsv.spans.SpanRecorder` sink that persists
     finished spans into *store* against *sweep_id*."""
 

@@ -195,7 +195,6 @@ class Worker:
                 cache_read_only=True,
                 jobs=1,
                 ledger_path=ledger_path,
-                metrics=self.metrics,
             )
             self._runners[window] = runner
         return runner

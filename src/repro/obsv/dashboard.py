@@ -1,7 +1,7 @@
 """Self-contained static HTML dashboard for one sweep.
 
 ``repro dashboard -o report.html`` renders everything the sweep-level
-observability stack knows — heartbeat progress, the run ledger's outcome
+observability stack knows — sweep progress, the run ledger's outcome
 and per-workload summaries, per-class traffic shares, bottleneck stalls,
 the paper-fidelity scorecard, and the BENCH_* perf trajectory — into one
 HTML file with **no external dependencies**: stdlib-only generation,
@@ -21,7 +21,7 @@ import json
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from repro.obsv.ledger import ledger_points, summarize_ledger
+from repro.obsv.ledger import ledger_points, ledger_progress, summarize_ledger
 from repro.obsv.scorecard import expected_text
 
 #: section ids, in render order — the smoke test asserts all are present.
@@ -210,7 +210,7 @@ def _section(section_id: str, title: str, body: str) -> str:
 
 
 def _summary_section(
-    summary: Optional[dict], heartbeat: List[dict], scorecard: Optional[dict]
+    summary: Optional[dict], progress: Optional[dict], scorecard: Optional[dict]
 ) -> str:
     tiles = []
     if summary and summary["points"]:
@@ -227,11 +227,8 @@ def _summary_section(
         tiles.append(_tile("sim time", f"{summary['sim_seconds']:.1f}s"))
         if summary["failures"]:
             tiles.append(_tile("failures", _badge("fail") + f" {len(summary['failures'])}"))
-    done_line = next((h for h in reversed(heartbeat) if h.get("event") == "done"), None)
-    if done_line:
-        rate = done_line.get("points_per_s")
-        if rate:
-            tiles.append(_tile("throughput", f"{rate:.2f} pts/s"))
+    if progress and progress["points_per_s"]:
+        tiles.append(_tile("throughput", f"{progress['points_per_s']:.2f} pts/s"))
     if scorecard:
         tiles.append(_tile("fidelity", _badge(scorecard.get("status", "skip"))))
     if not tiles:
@@ -239,25 +236,24 @@ def _summary_section(
     return f'<div class="tiles">{"".join(tiles)}</div>'
 
 
-def _progress_section(heartbeat: List[dict]) -> str:
-    if not heartbeat:
-        return _nodata("heartbeat")
-    points = [h for h in heartbeat if h.get("event", "point") == "point"]
-    done_line = next((h for h in reversed(heartbeat) if h.get("event") == "done"), None)
-    last = done_line or (points[-1] if points else heartbeat[-1])
-    done, total = last.get("done", 0), last.get("total", 0) or 1
-    fraction = done / total
-    status = "complete" if done_line else "in progress"
-    if done_line and done_line.get("status") == "failed":
-        status = f"failed ({done_line.get('failures', '?')} point(s))"
-    eta = last.get("eta_s")
+def _progress_section(progress: Optional[dict]) -> str:
+    """One progress document, shaped like :meth:`SQLiteJobStore.progress`
+    (total, counts, status, points_per_s, eta_s, failures)."""
+    if not progress:
+        return _nodata("progress")
+    total = progress["total"]
+    done = progress["counts"]["done"]
+    status = {"running": "in progress", "done": "complete"}.get(
+        progress["status"], f"failed ({len(progress['failures'])} point(s))"
+    )
+    eta = progress["eta_s"]
     detail = (
-        f"{done}/{total} points &middot; {last.get('points_per_s', 0):.2f} pts/s"
-        + (f" &middot; eta {eta:.0f}s" if isinstance(eta, (int, float)) and not done_line else "")
+        f"{done}/{total} points &middot; {progress['points_per_s']:.2f} pts/s"
+        + (f" &middot; eta {eta:.0f}s" if eta is not None else "")
         + f" &middot; {_esc(status)}"
     )
     return (
-        _hbar(fraction, "--series-1", width=560)
+        _hbar(done / (total or 1), "--series-1", width=560)
         + f'<div class="barlabel">{detail}</div>'
     )
 
@@ -520,7 +516,7 @@ def _bench_section(bench: Dict[str, dict]) -> str:
 def build_dashboard(
     title: str = "Sweep observability report",
     ledger_records: Optional[List[dict]] = None,
-    heartbeat_lines: Optional[List[dict]] = None,
+    progress: Optional[dict] = None,
     scorecard: Optional[dict] = None,
     latency: Optional[dict] = None,
     class_bytes: Optional[dict] = None,
@@ -531,16 +527,19 @@ def build_dashboard(
 ) -> str:
     """Render the complete dashboard; every argument is optional.
 
+    ``progress`` is a :meth:`SQLiteJobStore.progress` document; without
+    one, the progress section reads the ledger (:func:`ledger_progress`).
     ``latency`` and ``class_bytes`` describe one point, as
     :func:`load_telemetry` reads them from its artifacts.
     """
     records = ledger_records or []
-    heartbeat = heartbeat_lines or []
     summary = summarize_ledger(records) if records else None
+    if progress is None and summary and summary["points"]:
+        progress = ledger_progress(summary)
 
     bodies = {
-        "summary": _summary_section(summary, heartbeat, scorecard),
-        "progress": _progress_section(heartbeat),
+        "summary": _summary_section(summary, progress, scorecard),
+        "progress": _progress_section(progress),
         "timeline": _timeline_section(spans),
         "fleet": _fleet_section(fleet),
         "scorecard": _scorecard_section(scorecard),
@@ -611,24 +610,3 @@ def load_telemetry(
     latency = (load_json(Path(directory) / "latency.json") or {}).get("latency")
     meta = (load_json(Path(directory) / "summary.json") or {}).get("meta") or {}
     return latency, meta.get("class_bytes")
-
-
-def load_jsonl(path: Optional[str | Path]) -> List[dict]:
-    """Best-effort JSONL read; skips torn lines like the ledger reader."""
-    if not path:
-        return []
-    path = Path(path)
-    if not path.exists():
-        return []
-    out = []
-    for line in path.read_text().splitlines():
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            record = json.loads(line)
-        except ValueError:
-            continue
-        if isinstance(record, dict):
-            out.append(record)
-    return out

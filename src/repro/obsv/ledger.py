@@ -247,11 +247,17 @@ def canonical_points(records: Iterable[dict]) -> List[dict]:
 
 def summarize_ledger(records: Iterable[dict]) -> dict:
     """Per-sweep aggregate over each point's last record: outcome counts,
-    coverage, failures, timing."""
+    coverage, failures, timing.
+
+    ``started_ts`` is when the earliest point began (its record's ``ts``,
+    written as it finished, less its ``duration_s``); ``last_ts`` is when
+    the last point finished.
+    """
     points = latest_points(records)
     outcomes = Counter(r.get("outcome", "unknown") for r in points)
     durations = [r["duration_s"] for r in points if r.get("duration_s")]
     timestamps = [r["ts"] for r in points if r.get("ts")]
+    starts = [r["ts"] - (r.get("duration_s") or 0.0) for r in points if r.get("ts")]
     failures = [
         {
             "workload": r.get("workload"),
@@ -268,7 +274,33 @@ def summarize_ledger(records: Iterable[dict]) -> dict:
         "configs": len({r.get("config", "?") for r in points}),
         "failures": failures,
         "sim_seconds": round(sum(durations), 3),
-        "first_ts": min(timestamps) if timestamps else None,
+        "started_ts": min(starts) if starts else None,
         "last_ts": max(timestamps) if timestamps else None,
         "schema_versions": sorted({r.get("schema", 0) for r in points}),
+    }
+
+
+def ledger_progress(summary: dict) -> dict:
+    """A sweep's progress from :func:`summarize_ledger`, in the shape of
+    :meth:`~repro.jobs.store.SQLiteJobStore.progress`.
+
+    The ledger holds finished points only, so every point it records is
+    the total, none is pending or running, and there is no ETA.  The
+    throughput is points per wall second from the earliest point's start
+    to the last point's finish, across every batch and process that
+    appended to the ledger.
+    """
+    outcomes = summary["outcomes"]
+    failed = outcomes.get("failed", 0)
+    done = summary["points"] - failed
+    elapsed = 0.0
+    if summary["started_ts"] is not None:
+        elapsed = summary["last_ts"] - summary["started_ts"]
+    return {
+        "total": summary["points"],
+        "counts": {"pending": 0, "running": 0, "done": done, "failed": failed},
+        "status": "failed" if failed else "done",
+        "points_per_s": round(done / elapsed, 4) if done and elapsed > 0 else 0.0,
+        "eta_s": None,
+        "failures": summary["failures"],
     }

@@ -9,10 +9,12 @@ after a worker dies mid-point and another worker re-claims the lease.
 import contextlib
 import http.client
 import json
+import re
 import sqlite3
 import statistics
 import threading
 import time
+import types
 import urllib.error
 import urllib.request
 
@@ -27,10 +29,10 @@ from repro.jobs.store import (
     iter_points,
 )
 from repro.jobs import service as service_module
+from repro.jobs import store as store_module
 from repro.jobs.worker import Worker, build_config, default_worker_id
 from repro.jobs.service import (
     SweepService,
-    sweep_heartbeat_lines,
     sweep_ledger_records,
     validate_submission,
 )
@@ -856,6 +858,22 @@ class TestProgressEdges:
             assert progress["status"] == "done"
             assert progress["eta_s"] is None  # nothing remaining
 
+    def test_done_sweep_rate_stops_at_its_last_report(self, tmp_path, monkeypatch):
+        with SQLiteJobStore(tmp_path / "q.sqlite") as store:
+            sweep_id = submit(store, points=[("nw", SPECS[0])])
+            job = store.claim("w1", 30)
+            store.report(job.id, "w1", "simulated", result={})
+            finished = store.progress(sweep_id)
+            # an hour later the finished sweep still reads the same rate.
+            later = time.time() + 3600.0
+            monkeypatch.setattr(store_module, "time", types.SimpleNamespace(
+                time=lambda: later, perf_counter=time.perf_counter,
+                monotonic=time.monotonic, sleep=time.sleep,
+            ))
+            progress = store.progress(sweep_id)
+            assert progress["elapsed_s"] == finished["elapsed_s"]
+            assert progress["points_per_s"] == finished["points_per_s"] > 0
+
 
 class TestFleetMetrics:
     def instrumented_drain(self, tmp_path):
@@ -1080,13 +1098,32 @@ class TestSynthesizedObservability:
         )
         store.close()
 
-    def test_heartbeat_lines_lead_with_start(self, tmp_path):
-        store, sweep_id = self.drained_store(tmp_path)
-        lines = sweep_heartbeat_lines(store, sweep_id)
-        assert lines[0]["event"] == "start"
-        assert lines[0]["total"] == len(BENCHES) * len(SPECS)
-        assert lines[-1]["event"] == "done"
-        assert lines[-1]["status"] == "ok"
+    def test_in_flight_dashboard_shows_store_progress(
+        self, service, tmp_path, monkeypatch
+    ):
+        store = SQLiteJobStore(tmp_path / "q.sqlite")
+        sweep_id = submit(store)
+        Worker(store, worker_id="w1", poll_s=0.01, max_points=1).run()
+        # read the store 100 s after the submit: 1 of 4 points done, so
+        # 0.01 points/s and 300 s to go.
+        created = store.progress(sweep_id)["created_ts"]
+        clock = types.SimpleNamespace(
+            time=lambda: created + 100.0, perf_counter=time.perf_counter,
+            monotonic=time.monotonic, sleep=time.sleep,
+        )
+        monkeypatch.setattr(store_module, "time", clock)
+        progress = store.progress(sweep_id)
+        assert progress["status"] == "running"
+        assert progress["eta_s"] == pytest.approx(300.0)
+        with urllib.request.urlopen(
+            service.url + f"/sweeps/{sweep_id}/dashboard"
+        ) as response:
+            html_text = response.read().decode()
+        section = re.search(r'<section id="progress">(.*?)</section>', html_text)
+        assert (
+            f"1/4 points &middot; {progress['points_per_s']:.2f} pts/s"
+            " &middot; eta 300s &middot; in progress"
+        ) in section.group(1)
         store.close()
 
     def test_validate_submission_defaults(self):

@@ -23,7 +23,7 @@ from repro.common.config import (
 )
 from repro.common.stats import StatGroup
 from repro.experiments import designs
-from repro.experiments.runner import Runner, result_to_dict
+from repro.experiments.runner import result_to_dict
 from repro.secure.layout import MetadataLayout
 from repro.sim.event import EventQueue
 from repro.sim.gpu import simulate
@@ -354,46 +354,6 @@ class TestArtifacts:
         doc = json.loads(paths["latency.json"].read_text())
         assert "hops" in doc["latency"]
         assert doc["conservation"]["ok"] is True
-
-
-class TestHeartbeat:
-    def test_one_line_per_completed_point(self, tmp_path):
-        heartbeat = tmp_path / "hb.jsonl"
-        runner = Runner(horizon=1_200, warmup=800, jobs=1, heartbeat_path=heartbeat)
-        points = [
-            ("bfs", designs.build_gpu(None, PARTITIONS)),
-            ("nw", designs.build_gpu(None, PARTITIONS)),
-        ]
-        simulated = runner.prefetch(points)
-        lines = [json.loads(x) for x in heartbeat.read_text().splitlines()]
-        assert simulated == 2 and len(lines) == 4
-        # the batch opens with a "start" line carrying the planned total,
-        # so a consumer knows the denominator before any point lands.
-        start_line = lines[0]
-        assert start_line["event"] == "start"
-        assert start_line["total"] == 2 and start_line["ts"] > 0
-        points_lines, done_line = lines[1:3], lines[3]
-        assert [line["done"] for line in points_lines] == [1, 2]
-        for line in points_lines:
-            assert line["total"] == 2
-            assert line["elapsed_s"] >= 0.0
-            assert set(line) == {
-                "ts", "done", "total", "elapsed_s", "points_per_s", "eta_s",
-            }
-        assert points_lines[-1]["eta_s"] == 0.0
-        # the batch closes with a terminal "done" line: a finished sweep
-        # is distinguishable from one whose process died mid-batch.
-        assert done_line["event"] == "done"
-        assert done_line["done"] == done_line["total"] == 2
-        assert done_line["status"] == "ok" and done_line["failures"] == 0
-        # a fully cached batch simulates nothing and emits no heartbeat.
-        assert runner.prefetch(points) == 0
-        assert len(heartbeat.read_text().splitlines()) == 4
-
-    def test_disabled_by_default(self, tmp_path):
-        runner = Runner(horizon=1_200, warmup=800, jobs=1)
-        assert runner.heartbeat_path is None
-        runner.prefetch([("bfs", designs.build_gpu(None, PARTITIONS))])
 
 
 class TestCli:

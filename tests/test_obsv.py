@@ -1,6 +1,8 @@
 """Sweep observability: run ledger, scorecard, diffing, dashboard."""
 
 import json
+import re
+import shutil
 from html.parser import HTMLParser
 from pathlib import Path
 
@@ -16,6 +18,7 @@ from repro.obsv.ledger import (
     RunLedger,
     canonical_points,
     ledger_points,
+    ledger_progress,
     read_ledger,
     summarize_ledger,
 )
@@ -35,7 +38,7 @@ BENCHES = ["nw", "bfs"]
 PAPER_CACHE = (
     Path(__file__).resolve().parent.parent
     / "results"
-    / "experiments_p4_h10000_w30000.json"
+    / "experiments_p4_h10000_w30000"
 )
 
 
@@ -83,6 +86,11 @@ def synthetic_point(workload, config="cfgdigest", ipc=1.0, outcome="simulated",
     }
     record.update(overrides)
     return record
+
+
+def progress_html(html_text):
+    """The body of the dashboard's progress section."""
+    return re.search(r'<section id="progress">(.*?)</section>', html_text).group(1)
 
 
 def point_artifacts(tmp_path, workload, design):
@@ -249,8 +257,7 @@ class TestLedgerRunnerIntegration:
             return real(config, workload, **kwargs)
 
         monkeypatch.setattr(runner_mod, "simulate", flaky)
-        heartbeat = tmp_path / "hb.jsonl"
-        runner = parallel_runner(tmp_path, "flaky", jobs=jobs, heartbeat_path=heartbeat)
+        runner = parallel_runner(tmp_path, "flaky", jobs=jobs)
         base = designs.build_gpu(None, 2)
         with pytest.raises(RuntimeError, match="injected fault"):
             runner.prefetch([("nw", base), ("bfs", base)])
@@ -268,10 +275,36 @@ class TestLedgerRunnerIntegration:
             tmp_path, "flaky", ledger_path=tmp_path / "l-rerun.jsonl", jobs=1
         )
         assert rerun.plan([("nw", base)]) == []
-        # ... and the heartbeat closed the batch with a failed status.
-        done = json.loads(heartbeat.read_text().splitlines()[-1])
-        assert done["event"] == "done"
-        assert done["status"] == "failed" and done["failures"] == 1
+
+    def test_dashboard_progress_spans_every_batch(self, tmp_path):
+        runner = parallel_runner(tmp_path, "batches", jobs=1)
+        points = matrix_points()
+        assert runner.prefetch(points[:2]) == 2
+        assert runner.prefetch(points[2:3]) == 1
+        runner.close()
+        ledger = tmp_path / "ledger-batches.jsonl"
+        progress = ledger_progress(summarize_ledger(read_ledger(ledger)))
+        assert progress["total"] == progress["counts"]["done"] == 3
+        assert progress["status"] == "done" and progress["eta_s"] is None
+        assert progress["points_per_s"] > 0
+        out = tmp_path / "report.html"
+        assert main(["dashboard", "-o", str(out), "--ledger", str(ledger)]) == 0
+        body = progress_html(out.read_text())
+        assert f"3/3 points &middot; {progress['points_per_s']:.2f} pts/s" in body
+        assert "complete" in body
+
+    def test_ledger_progress_counts_failures_and_wall_time(self):
+        records = [
+            synthetic_point("a", ts=10.0, duration_s=2.0),
+            synthetic_point("b", ts=12.0, duration_s=1.0, outcome="cached"),
+            synthetic_point("c", ts=13.0, duration_s=0.5, outcome="failed"),
+        ]
+        progress = ledger_progress(summarize_ledger(records))
+        assert progress["counts"] == {"pending": 0, "running": 0, "done": 2, "failed": 1}
+        assert progress["total"] == 3 and progress["status"] == "failed"
+        # two finished points from the first start (t=8) to the last finish (t=13).
+        assert progress["points_per_s"] == pytest.approx(2 / 5)
+        assert [f["workload"] for f in progress["failures"]] == ["c"]
 
     def test_run_failure_recorded_by_serial_runner(self, tmp_path, monkeypatch):
         import repro.experiments.runner as runner_mod
@@ -373,6 +406,23 @@ class TestScorecard:
         rendered = render_scorecard(doc)
         assert "overall: PASS" in rendered
         assert "c2_lbm_ipc_loss" in rendered
+
+    @pytest.mark.skipif(not PAPER_CACHE.exists(), reason="paper cache not present")
+    def test_new_point_adds_one_line_to_the_shipped_cache(self, tmp_path):
+        copy = tmp_path / "cache"
+        shutil.copytree(PAPER_CACHE, copy)
+
+        def lines():
+            return sum(len(p.read_text().splitlines()) for p in copy.glob("shard-*.jsonl"))
+
+        before = lines()
+        runner = Runner(horizon=HORIZON, warmup=WARMUP, cache_path=copy)
+        runner.run("nw", designs.build_gpu(None, 2))
+        assert runner.stats.points_simulated == 1
+        assert lines() == before + 1
+        runner.close()  # compaction keeps one line per key
+        assert lines() == before + 1
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cache"]
 
     def test_build_scorecard_with_injected_metrics(self, tmp_path):
         runner = Runner(horizon=HORIZON, warmup=WARMUP, benchmarks=BENCHES)
@@ -482,13 +532,11 @@ class TestDashboard:
     def test_populated_dashboard_is_self_contained(self):
         records = [synthetic_point(w, ipc=1.0 + i) for i, w in enumerate("abc")]
         records.append(synthetic_point("bad", outcome="failed"))
-        heartbeat = [
-            {"ts": 1.0, "done": 1, "total": 4, "elapsed_s": 1.0,
-             "points_per_s": 1.0, "eta_s": 3.0},
-            {"event": "done", "ts": 4.0, "done": 4, "total": 4,
-             "elapsed_s": 4.0, "points_per_s": 1.0, "status": "ok",
-             "failures": 0},
-        ]
+        progress = {
+            "total": 8, "status": "running", "points_per_s": 0.5, "eta_s": 8.0,
+            "counts": {"pending": 4, "running": 0, "done": 3, "failed": 1},
+            "failures": [{"workload": "bad", "error": "RuntimeError: boom"}],
+        }
         scorecard = {
             "status": "warn",
             "results": [{"id": "c1", "status": "warn", "observed": 0.5,
@@ -497,12 +545,14 @@ class TestDashboard:
         }
         html_text = build_dashboard(
             ledger_records=records,
-            heartbeat_lines=heartbeat,
+            progress=progress,
             scorecard=scorecard,
         )
         parser = self._parse(html_text)
         assert parser.section_ids == list(SECTIONS)
         assert not parser.external
+        # a progress document wins over the ledger's own count.
+        assert "3/8 points &middot; 0.50 pts/s &middot; eta 8s" in progress_html(html_text)
         # status is never conveyed by color alone: glyph + word.
         assert "! warn" in html_text
         assert "RuntimeError: boom" in html_text
@@ -569,6 +619,13 @@ class TestCli:
         assert "overall: PASS" in capsys.readouterr().out
         doc = json.loads(out_json.read_text())
         assert doc["status"] == "pass" and doc["points_simulated"] == 0
+
+    def test_scorecard_cache_naming_a_file_exits_two(self, tmp_path, capsys):
+        legacy = tmp_path / "cache.json"
+        legacy.write_text("{}")
+        assert main(["scorecard", "--cache", str(legacy)]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: --cache {legacy} is a file")
 
     @pytest.mark.skipif(not PAPER_CACHE.exists(), reason="paper cache not present")
     def test_scorecard_explicit_paper_window_reads_cache(self, monkeypatch, capsys):

@@ -160,19 +160,6 @@ class TestShardedCache:
         cache.put("key", self.payload(1))
         assert ShardedResultCache(directory, num_shards=1).get("key") == self.payload(1)
 
-    def test_legacy_single_file_imported(self, tmp_path):
-        legacy = tmp_path / "cache.json"
-        legacy.write_text(json.dumps({"old-key": self.payload(7)}))
-        cache = ShardedResultCache(legacy)
-        assert cache.get("old-key") == self.payload(7)
-        cache.put("new-key", self.payload(8))
-        assert (tmp_path / "cache.json.d").is_dir()
-        # the legacy file is untouched and both keys survive a reload.
-        assert json.loads(legacy.read_text()) == {"old-key": self.payload(7)}
-        reloaded = ShardedResultCache(legacy)
-        assert reloaded.get("old-key") == self.payload(7)
-        assert reloaded.get("new-key") == self.payload(8)
-
 
 class TestCrashSafety:
     def test_mid_run_kill_resumes_from_completed_points(self, tmp_path):
@@ -299,16 +286,12 @@ class TestInterrupt:
 
         monkeypatch.setattr(runner_mod, "simulate", point)
         cache, ledger = tmp_path / "cache", tmp_path / "ledger.jsonl"
-        heartbeat = tmp_path / "hb.jsonl"
-        runner = serial_runner(cache_path=cache, ledger_path=ledger,
-                               heartbeat_path=heartbeat)
+        runner = serial_runner(cache_path=cache, ledger_path=ledger)
         points = matrix_points()
         with pytest.raises(KeyboardInterrupt):
             runner.prefetch(points)
         assert len(started) == 2  # no point starts after the interrupt
         assert runner.stats.points_simulated == 1
-        done = json.loads(heartbeat.read_text().splitlines()[-1])
-        assert done["event"] == "done" and done["status"] == "failed"
         # the finished point is ledgered; the interrupted one is not ...
         records = ledger_points(read_ledger(ledger))
         assert [(r["workload"], r["outcome"]) for r in records] == [("nw", "simulated")]
@@ -325,35 +308,12 @@ class TestInterrupt:
             raise KeyboardInterrupt
 
         monkeypatch.setattr(Runner, "_merge", interrupted)
-        heartbeat = tmp_path / "hb.jsonl"
-        runner = parallel_runner(cache_path=tmp_path / "cache",
-                                 heartbeat_path=heartbeat)
+        ledger = tmp_path / "ledger.jsonl"
+        runner = parallel_runner(cache_path=tmp_path / "cache", ledger_path=ledger)
         with pytest.raises(KeyboardInterrupt):
             runner.prefetch(matrix_points())
         assert runner.stats.points_simulated == 0
-        done = json.loads(heartbeat.read_text().splitlines()[-1])
-        assert done["event"] == "done" and done["status"] == "failed"
-
-
-class TestSerialRunnerCacheHardening:
-    """A legacy single-file cache that is not a JSON object warns and is
-    skipped; the file stays as it was and new points go to the shards."""
-
-    def test_corrupt_cache_warns_and_starts_fresh(self, tmp_path):
-        path = tmp_path / "cache.json"
-        path.write_text("{truncated")
-        with pytest.warns(RuntimeWarning, match="corrupt result cache"):
-            runner = serial_runner(cache_path=path)
-        result = runner.run(*matrix_points()[0])
-        assert result.ipc > 0
-        assert path.read_text() == "{truncated"
-        assert list((tmp_path / "cache.json.d").glob("shard-*.jsonl"))
-
-    def test_non_object_cache_warns(self, tmp_path):
-        path = tmp_path / "cache.json"
-        path.write_text("[1, 2, 3]")
-        with pytest.warns(RuntimeWarning, match="expected a JSON object, got list"):
-            serial_runner(cache_path=path)
+        assert not ledger_points(read_ledger(ledger))
 
 
 class TestStats:
