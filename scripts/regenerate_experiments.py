@@ -6,7 +6,10 @@ Runs the full experiment matrix at the documentation scale (4 partitions /
 for steady-state L2 churn) and rewrites the table block of each section
 named in ``SECTIONS``.  Every other line of EXPERIMENTS.md — headings,
 the paper's expectations, the prose sections — is kept as it is, except
-the regeneration-time line.  The sharded, crash-safe result cache
+the two that describe the run: the header's window sentence, rendered
+from the run's horizon and warmup, and the regeneration-time line,
+rewritten only by a run that took no point from the cache (its wall time
+would not be the regeneration's).  The sharded, crash-safe result cache
 ``results/experiments_p4_h<H>_w<W>/`` makes re-runs incremental: each
 completed point is appended durably, so a killed run resumes from where it
 stopped, and over the shipped cache nothing simulates but Figs. 10-11's
@@ -31,7 +34,7 @@ import json
 import re
 import time
 from pathlib import Path
-from typing import List
+from typing import List, Optional
 
 from repro.analysis.report import render_series_table
 from repro.experiments import figures
@@ -72,6 +75,20 @@ SECTIONS = {
 }
 
 TOTAL_LINE = re.compile(r"^Total regeneration time: .* minutes\.$", re.MULTILINE)
+WINDOW_SENTENCE = re.compile(r"measuring a [\d,]+-cycle window after a [\d,]+-cycle cache warmup\.")
+
+
+def describe_run(text: str, horizon: int, warmup: int, minutes: Optional[float]) -> str:
+    """*text* with its window sentence naming *horizon* and *warmup*, and
+    its regeneration time set to *minutes* unless that is None."""
+    text, found = WINDOW_SENTENCE.subn(
+        f"measuring a {horizon:,}-cycle window after a {warmup:,}-cycle cache warmup.", text
+    )
+    if not found:
+        raise ValueError("EXPERIMENTS.md has no 'measuring a N-cycle window' sentence")
+    if minutes is not None:
+        text = TOTAL_LINE.sub(f"Total regeneration time: {minutes:.1f} minutes.", text)
+    return text
 
 
 def replace_table(lines: List[str], title: str, body: str) -> None:
@@ -151,10 +168,8 @@ def main() -> None:
         print(f"[{time.time() - t0:7.1f}s] {title}", flush=True)
 
     total_min = (time.time() - started) / 60
-    text = TOTAL_LINE.sub(
-        f"Total regeneration time: {total_min:.1f} minutes.", "\n".join(lines)
-    )
-    Path(args.output).write_text(text)
+    measured = total_min if runner.stats.disk_hits == 0 else None
+    Path(args.output).write_text(describe_run("\n".join(lines), horizon, warmup, measured))
     runner.close()
     print(f"wrote {args.output} in {total_min:.1f} min")
     print(f"[throughput] jobs={runner.jobs} | {runner.stats.summary()}")

@@ -10,39 +10,42 @@ Every *configured* latency in the simulator (cache hit latencies, DRAM
 access latency, interconnect traversal, crypto latencies) is a whole
 number of core cycles; sub-cycle fractions arise only from throughput
 occupancies (bytes over bandwidth, instructions over issue width).  The
-scheduler exploits this: pending events are binned into a **calendar
-queue** of per-cycle buckets indexed by ``int(time)``, with a binary-heap
-fallback for events beyond the calendar window (far-future events such as
-counter-overflow sweeps or deep back-pressure stalls).  Timestamps keep
-their exact sub-cycle value, so results are bit-identical to the previous
-global-heap scheduler — only the data structure changed.
+scheduler exploits this: pending events are binned into a ring of
+per-cycle buckets (small heaps) indexed by ``int(time)``, with one
+binary heap for events beyond the ring's window (far-future events such
+as counter-overflow sweeps or deep back-pressure stalls).  Timestamps
+keep their exact sub-cycle value.
 
-Ordering contract: events fire in ``(time, seq)`` order.  Within one
-integer cycle a per-bucket heap orders entries exactly as the old global
-heap did; across the calendar/heap boundary, far events migrate into
-their bucket before the cycle is reached, so same-``(time, seq)`` order
-is preserved end to end (FIFO for equal timestamps).
+Ordering contract: events fire in ``(time, seq)`` order, so equal
+timestamps fire FIFO.  Within one cycle the bucket's heap orders
+entries; far events migrate into their bucket when the window slides
+over them, before their cycle is drained, so the far heap never
+reorders anything.
 
-:meth:`EventQueue.run` is the simulator's hottest loop — a single
-experiment point processes millions of events — so it binds the heap
-primitives locally and splits an unbounded fast path from the
-horizon-bounded one to keep per-event overhead at a few bytecodes.
+:meth:`EventQueue.run` is the simulator's hottest loop.  It drains the
+current bucket, then steps to the next cycle while the ring holds
+events, and jumps to the far heap's top only when the ring is empty.  A
+dense point has an event in nearly every cycle, so stepping costs one
+empty-bucket check per idle cycle, at most the point's span in cycles.
 """
 
 from __future__ import annotations
 
 import heapq
-from typing import Any, Callable, List, Optional, Tuple
+import sys
+from typing import Any, Callable, List, Tuple
 
 _heappush = heapq.heappush
 _heappop = heapq.heappop
+#: the cycle and event limits of an unbounded :meth:`EventQueue.run`.
+_NO_LIMIT = sys.maxsize
 
 #: one pending event: (absolute time, sequence number, callback, args).
 Entry = Tuple[float, int, Callable[..., None], Tuple[Any, ...]]
 
 
 class SchedulingError(ValueError):
-    """An event was scheduled in the past.
+    """An event was scheduled in the past or at a non-finite time.
 
     Carries the offending callback's name so the failing component is
     identifiable from the message alone (the scheduler sees only opaque
@@ -51,15 +54,20 @@ class SchedulingError(ValueError):
     """
 
 
+def _rejected(callback: Callable[..., None], time: float, why: str) -> SchedulingError:
+    name = getattr(callback, "__qualname__", None) or repr(callback)
+    return SchedulingError(f"cannot schedule {name} at {time} {why}")
+
+
 class EventQueue:
     """Simulation clock plus a calendar queue of pending events.
 
-    The calendar holds the next :data:`CALENDAR_WINDOW` whole cycles as
-    per-cycle buckets (small heaps); anything further out waits in one
-    overflow heap and migrates into its bucket as the window slides.
+    The ring holds the next :data:`CALENDAR_WINDOW` whole cycles as
+    per-cycle buckets; anything further out waits in one far heap and
+    migrates into its bucket as the window slides.
     """
 
-    #: calendar span in whole cycles; must be a power of two.  Covers every
+    #: ring span in whole cycles; must be a power of two.  Covers every
     #: configured latency in the model (the largest, back-pressure stalls,
     #: is bounded by the 2048-cycle backlog window plus DRAM latency).
     CALENDAR_WINDOW = 4096
@@ -70,17 +78,16 @@ class EventQueue:
         window = self.CALENDAR_WINDOW
         self._mask = window - 1
         self._buckets: List[List[Entry]] = [[] for _ in range(window)]
-        #: integer cycle the calendar is anchored at.  Invariant outside
-        #: :meth:`run`: ``_cycle == int(now)``, and every bucket-resident
-        #: event has ``int(time)`` in ``[_cycle, _cycle + CALENDAR_WINDOW)``.
+        #: integer cycle the ring is anchored at.  Invariant outside
+        #: :meth:`run`: ``_cycle == int(now)``; ring events occupy cycles
+        #: ``[_cycle, _last]``, and far events lie at or past
+        #: ``_cycle + CALENDAR_WINDOW``.
         self._cycle = 0
-        self._near = 0
+        #: high-water mark: the last cycle any ring event occupies.  A
+        #: bucket is drained only at ``_cycle``, so the ring is empty once
+        #: ``_cycle`` passes it or reaches it with that bucket drained.
+        self._last = -1
         self._far: List[Entry] = []
-        #: lazy min-heap of occupied calendar cycles: a cycle is pushed when
-        #: its bucket goes empty -> non-empty, and popped when observed empty
-        #: (stale).  Lets :meth:`_advance` jump straight to the next occupied
-        #: cycle instead of scanning idle windows one cycle at a time.
-        self._occupied: List[int] = []
         self._stopped = False
         #: logical events folded into batch callbacks (grouped crossbar
         #: delivery executes N per-access deliveries under one scheduled
@@ -101,20 +108,18 @@ class EventQueue:
         self._list_pool.append(used)
 
     def schedule_at(self, time: float, callback: Callable[..., None], *args: Any) -> None:
-        """Run ``callback(*args)`` at absolute *time* (>= now)."""
+        """Run ``callback(*args)`` at absolute *time* (finite, >= now)."""
         if time < self.now:
-            name = getattr(callback, "__qualname__", None) or repr(callback)
-            raise SchedulingError(
-                f"cannot schedule {name} at {time} before now={self.now}"
-            )
+            raise _rejected(callback, time, f"before now={self.now}")
+        try:
+            cycle = int(time)
+        except (ValueError, OverflowError):  # NaN or +inf
+            raise _rejected(callback, time, "(not a finite time)") from None
         self._seq += 1
-        cycle = int(time)
-        if cycle - self._cycle < 4096:  # CALENDAR_WINDOW, inlined for speed
-            bucket = self._buckets[cycle & self._mask]
-            if not bucket:
-                _heappush(self._occupied, cycle)
-            _heappush(bucket, (time, self._seq, callback, args))
-            self._near += 1
+        if cycle - self._cycle < 4096:  # CALENDAR_WINDOW and its mask, inlined for speed
+            _heappush(self._buckets[cycle & 4095], (time, self._seq, callback, args))
+            if cycle > self._last:
+                self._last = cycle
         else:
             _heappush(self._far, (time, self._seq, callback, args))
 
@@ -127,7 +132,7 @@ class EventQueue:
         self._stopped = True
 
     def clear(self) -> None:
-        """Drop every pending event (clock and calendar anchor are kept).
+        """Drop every pending event (clock and ring anchor are kept).
 
         Used after a finished simulation: pending entries hold bound
         methods of the components that hold this queue, i.e. the reference
@@ -136,151 +141,74 @@ class EventQueue:
         for bucket in self._buckets:
             bucket.clear()
         self._far.clear()
-        self._occupied.clear()
-        self._near = 0
+        self._last = self._cycle - 1
 
     def empty(self) -> bool:
-        return not (self._near or self._far)
+        ring_empty = self._last < self._cycle or not self._buckets[self._last & self._mask]
+        return ring_empty and not self._far
 
     def __len__(self) -> int:
-        return self._near + len(self._far)
+        buckets, mask = self._buckets, self._mask
+        ring = sum(len(buckets[c & mask]) for c in range(self._cycle, self._last + 1))
+        return ring + len(self._far)
 
-    def _advance(self, limit: Optional[int]) -> bool:
-        """Move :attr:`_cycle` to the next cycle holding an event.
+    def run(self, until: float | None = None, max_events: int | None = None) -> int:
+        """Process events in ``(time, seq)`` order.
 
-        The next occupied cycle comes from the lazy occupied-cycle heap
-        (idle windows are skipped in one jump instead of scanned cycle by
-        cycle); far-future events migrate into their calendar bucket as the
-        window slides over them, so bucket order subsumes the heap fallback.
-        With *limit* set the calendar never moves past it (events beyond the
-        horizon stay put for the next :meth:`run`).  Returns True when a
-        non-empty bucket was found at the new ``_cycle``.
+        Stops when the queue empties, the next event lies past *until*,
+        *max_events* have been processed, or :meth:`stop` is called.  A
+        run that stops for want of events up to *until* leaves the clock
+        at *until* (a clock already past it stays put).  Returns the
+        number of events processed.
         """
+        self._stopped = False
+        processed = 0
+        budget = _NO_LIMIT if max_events is None else max_events
+        cycle = self._cycle
+        if until is None:
+            horizon, limit = float("inf"), _NO_LIMIT
+        else:
+            horizon, limit = until, max(int(until), cycle)
         buckets = self._buckets
         mask = self._mask
         window = self.CALENDAR_WINDOW
         far = self._far
-        occupied = self._occupied
-        current = self._cycle
-        # lazy-deletion bound: stale entries (drained or reused cycles that
-        # never reached the heap front) may outnumber the live ones after
-        # bursty schedule/drain patterns.  Live cycles are at most _near
-        # (each non-empty bucket holds >= 1 event), so once the heap grows
-        # past twice that, rebuild it from the actually-occupied cycles —
-        # a sorted list is a valid heap, and the set-comprehension also
-        # drops duplicate entries from empty->non-empty->empty->non-empty
-        # transitions of one cycle.
-        if len(occupied) > 64 and len(occupied) > (self._near << 1):
-            live = {c for c in occupied if c >= current and buckets[c & mask]}
-            occupied[:] = sorted(live)
-        while True:
-            # drop stale occupied-cycle entries: the bucket emptied since the
-            # push, or the cycle was drained and its bucket slot has since
-            # been reused by a cycle one window later (same index mod window).
-            while occupied and (
-                occupied[0] < current or not buckets[occupied[0] & mask]
-            ):
-                _heappop(occupied)
-            if occupied:
-                c = occupied[0]
-                if far and far[0][0] < c:
-                    c = int(far[0][0])
-            elif far:
-                c = int(far[0][0])
-            else:
-                if limit is not None and limit > self._cycle:
-                    self._cycle = limit
-                return False
-            if limit is not None and c > limit:
-                self._cycle = limit
-                return False
-            horizon = c + window
-            while far and far[0][0] < horizon:
-                entry = _heappop(far)
-                cycle = int(entry[0])
-                bucket = buckets[cycle & mask]
-                if not bucket:
-                    _heappush(occupied, cycle)
-                _heappush(bucket, entry)
-                self._near += 1
-            if buckets[c & mask]:
-                self._cycle = c
-                return True
-
-    def run(self, until: float | None = None, max_events: int | None = None) -> int:
-        """Process events in time order.
-
-        Stops when the queue empties, the clock passes *until*,
-        *max_events* have been processed, or :meth:`stop` is called.
-        Returns the number of events processed.
-        """
-        self._stopped = False
-        processed = 0
-        buckets = self._buckets
-        mask = self._mask
         pop = _heappop
-
-        if until is None:
-            # unbounded fast path: no horizon peek per event.
-            while True:
-                bucket = buckets[self._cycle & mask]
-                while bucket:
-                    event_time, _seq, callback, args = pop(bucket)
-                    self._near -= 1
-                    self.now = event_time
-                    callback(*args)
-                    processed += 1
-                    if self._stopped:
-                        return processed
-                    if max_events is not None and processed >= max_events:
-                        return processed
-                if not self._advance(None):
-                    return processed
-
-        limit = int(until)
-        if limit < self._cycle:
-            limit = self._cycle
-        if max_events is None:
-            # horizon-bounded hot path (the simulator's run calls land
-            # here): pop eagerly and push the entry back on the rare
-            # horizon overshoot — cheaper than peeking every event.
-            push = _heappush
-            while True:
-                bucket = buckets[self._cycle & mask]
-                while bucket:
-                    entry = pop(bucket)
-                    event_time = entry[0]
-                    if event_time > until:
-                        push(bucket, entry)
-                        self.now = until
-                        return processed
-                    self._near -= 1
-                    self.now = event_time
-                    entry[2](*entry[3])
-                    processed += 1
-                    if self._stopped:
-                        return processed
-                if not self._advance(limit):
-                    if not self._stopped and self.now < until:
-                        self.now = until
-                    return processed
+        push = _heappush
         while True:
-            bucket = buckets[self._cycle & mask]
+            bucket = buckets[cycle & mask]
             while bucket:
-                event_time = bucket[0][0]
-                if event_time > until:
-                    self.now = until
-                    return processed
-                _time, _seq, callback, args = pop(bucket)
-                self._near -= 1
+                entry = pop(bucket)
+                event_time, _seq, callback, args = entry
+                if event_time > horizon:
+                    push(bucket, entry)  # past until: pending for a later run
+                    break
                 self.now = event_time
                 callback(*args)
                 processed += 1
-                if self._stopped:
+                if self._stopped or processed >= budget:
                     return processed
-                if max_events is not None and processed >= max_events:
-                    return processed
-            if not self._advance(limit):
-                if not self._stopped and self.now < until:
-                    self.now = until
-                return processed
+            if bucket or cycle == limit:
+                break
+            # the bucket is drained: step to the next cycle, or jump to the
+            # far heap's top once the ring is empty; a bounded run with
+            # nothing left up to until moves to its last cycle.
+            if cycle < self._last:
+                cycle += 1
+            elif far:
+                cycle = min(int(far[0][0]), limit)
+            elif until is not None:
+                cycle = limit
+            else:
+                break
+            self._cycle = cycle
+            # the window slid over far events: move them into their buckets.
+            while far and far[0][0] < cycle + window:
+                entry = pop(far)
+                event_cycle = int(entry[0])
+                push(buckets[event_cycle & mask], entry)
+                if event_cycle > self._last:
+                    self._last = event_cycle
+        if until is not None and self.now < until:
+            self.now = until
+        return processed

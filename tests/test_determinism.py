@@ -72,15 +72,14 @@ def test_same_cycle_fifo_across_calendar_heap_boundary() -> None:
     timestamp once the window has slid close enough to use a bucket.  The
     migration path must preserve schedule order.
     """
-    window = EventQueue.CALENDAR_WINDOW
-    t = float(window + 100)
+    assert EventQueue.CALENDAR_WINDOW == 4096  # the literal times below assume it
+    t = 4196.0
     q = EventQueue()
     order = []
-    q.schedule_at(t, order.append, "first")  # beyond window -> far heap
-    assert q._far and not q._near
+    q.schedule_at(t, order.append, "first")  # past the window from cycle 0: far heap
 
     def reschedule() -> None:
-        # now == 200.0: cycle window+100 is now within the calendar window.
+        # now == 200.0: cycle 4196 is now within the calendar window.
         q.schedule_at(t, order.append, "second")
 
     q.schedule_at(200.0, reschedule)
@@ -91,14 +90,14 @@ def test_same_cycle_fifo_across_calendar_heap_boundary() -> None:
 
 def test_far_event_not_skipped_by_later_near_event() -> None:
     """A far-heap event must fire before a later near event (migration test)."""
-    window = EventQueue.CALENDAR_WINDOW
+    assert EventQueue.CALENDAR_WINDOW == 4096  # the literal times below assume it
     q = EventQueue()
     order = []
-    q.schedule_at(float(window + 10), order.append, "far")
+    q.schedule_at(4106.0, order.append, "far")
 
     def mid() -> None:
-        # scheduled from cycle 100: window+50 is near now.
-        q.schedule_at(float(window + 50), order.append, "near-late")
+        # scheduled from cycle 100: cycle 4146 is near now.
+        q.schedule_at(4146.0, order.append, "near-late")
 
     q.schedule_at(100.0, mid)
     q.run()
@@ -106,16 +105,19 @@ def test_far_event_not_skipped_by_later_near_event() -> None:
 
 
 def test_run_until_does_not_disturb_far_events() -> None:
+    assert EventQueue.CALENDAR_WINDOW == 4096  # the literal times below assume it
     q = EventQueue()
     fired = []
     q.schedule_at(5.0, fired.append, "a")
-    q.schedule_at(float(EventQueue.CALENDAR_WINDOW * 3), fired.append, "b")
+    q.schedule_at(12288.0, fired.append, "b")  # three windows out: far heap
     q.run(until=10.0)
     assert fired == ["a"]
     assert q.now == 10.0
+    assert len(q) == 1 and not q.empty()
     q.run()
     assert fired == ["a", "b"]
-    assert q.now == float(EventQueue.CALENDAR_WINDOW * 3)
+    assert q.now == 12288.0
+    assert len(q) == 0 and q.empty()
 
 
 # --- typed scheduling errors -------------------------------------------------

@@ -1,8 +1,10 @@
 """EventQueue: ordering, horizons, stop conditions."""
 
+import math
+
 import pytest
 
-from repro.sim.event import EventQueue
+from repro.sim.event import EventQueue, SchedulingError
 
 
 class TestScheduling:
@@ -108,38 +110,45 @@ class TestRunControl:
         assert seen == [0, 1, 2, 3, 4]
 
 
-class TestOccupiedHeapCompaction:
-    """The idle fast-forward's lazy occupied-cycle heap stays bounded."""
+class TestIdleGaps:
+    """Stepping cycle by cycle and jumping over empty stretches keep order."""
 
-    def test_stale_entries_are_compacted(self):
+    def test_event_after_a_long_idle_gap_fires(self):
         queue = EventQueue()
         seen = []
-        # one real pending event, far enough out that _advance has to jump.
         queue.schedule_at(900.0, seen.append, "real")
-        # manufacture a large stale backlog: cycles that were once occupied
-        # but whose buckets have since drained (lazy deletion leaves their
-        # heap entries behind until the front reaches them).
-        import heapq
-
-        for cycle in range(100, 800):
-            heapq.heappush(queue._occupied, cycle)
-        assert len(queue._occupied) > 2 * queue._near
-        queue.run()
+        assert queue.run() == 1
         assert seen == ["real"]
-        # compaction ran during _advance: only entries for genuinely
-        # occupied (or already-drained-and-popped) cycles may remain, and
-        # the heap obeys the lazy-deletion bound.
-        assert len(queue._occupied) <= max(64, 2 * queue._near)
+        assert queue.now == 900.0
 
-    def test_compaction_preserves_firing_order(self):
+    def test_gaps_and_the_window_edge_keep_firing_order(self):
         queue = EventQueue()
         seen = []
+        # 4100 lies past the 4096-cycle window when scheduled from cycle 0.
         for t in (50.0, 700.0, 1200.0, 4100.0):
             queue.schedule_at(t, seen.append, t)
-        import heapq
-
-        for cycle in range(60, 600):
-            heapq.heappush(queue._occupied, cycle)
         queue.run()
         assert seen == [50.0, 700.0, 1200.0, 4100.0]
-        assert len(queue._occupied) <= max(64, 2 * queue._near)
+        assert queue.now == 4100.0 and queue.empty()
+
+    def test_until_before_now_keeps_the_clock(self):
+        queue = EventQueue()
+        queue.schedule_at(0.5, lambda: None)
+        queue.run(until=0.25)
+        assert queue.run(until=-1.25) == 0
+        assert queue.now == 0.25 and len(queue) == 1
+
+
+class TestRejectedTimes:
+    @pytest.mark.parametrize("time", [math.nan, math.inf, -math.inf])
+    def test_non_finite_time_names_the_callback(self, time):
+        queue = EventQueue()
+        queue.schedule_at(5.0, lambda: None)
+        queue.run()
+
+        def late_callback():  # pragma: no cover - never invoked
+            pass
+
+        with pytest.raises(SchedulingError, match="late_callback"):
+            queue.schedule_at(time, late_callback)
+        assert queue.empty() and len(queue) == 0
