@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import os
 import platform
+import resource
 
 
 def host_metadata() -> dict:
@@ -29,3 +30,15 @@ def host_metadata() -> dict:
         except OSError:
             pass
     return meta
+
+
+def peak_rss_mb() -> float:
+    """Peak resident set, in MiB, of the largest process so far: this one
+    or any child it has waited for (a sweep's pool workers).
+
+    ``ru_maxrss`` is in KiB on Linux, the platform the simulator's
+    numbers are recorded on.
+    """
+    own = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    children = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss
+    return max(own, children) / 1024

@@ -40,9 +40,7 @@ time.
 
 from __future__ import annotations
 
-import contextlib
 import dataclasses
-import gc
 import enum
 import hashlib
 import json
@@ -55,7 +53,7 @@ from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.common.config import GpuConfig, MetadataKind
-from repro.sim.gpu import SimulationResult, _gc_paused, simulate
+from repro.sim.gpu import SimulationResult, simulate
 from repro.telemetry.session import write_artifacts
 from repro.workloads.suite import BENCHMARK_ORDER, get_benchmark
 
@@ -615,55 +613,43 @@ class Runner:
     def _simulate_in_process(
         self, pending: List[Tuple[Tuple[str, str], str, GpuConfig]], batch: _Batch
     ) -> None:
-        # A multi-point batch pauses the collector once and collects only
-        # the young generation before each point: that frees the previous
-        # point's dropped (cyclic) model graph in one pass, where threshold
-        # collections between points would walk graphs still alive, and a
-        # batch holding every graph to its end would grow ~8 MiB a point
-        # at paper scale.  A one-point batch (a run() miss) keeps
-        # simulate()'s own pause, so no collection lands after the
-        # simulation, on a served point's overhead.
-        batched = len(pending) > 1
-        with _gc_paused() if batched else contextlib.nullcontext():
-            for key, disk_key, config in pending:
-                if batched:
-                    gc.collect(0)
-                point_span = sim_span = None
-                ids = (None, None)
-                if self._spans_on:
-                    point_span = self._spans.start_span(
-                        "runner.point", component="runner",
-                        parent=self._span_parent,
-                        attrs={"workload": key[0], "config": key[1]},
-                    )
-                    sim_span = self._spans.start_span(
-                        "runner.simulate", component="runner", parent=point_span,
-                        attrs={"workload": key[0],
-                               "horizon": self.horizon, "warmup": self.warmup},
-                    )
-                    ids = (point_span.trace_id, point_span.span_id)
-                t0 = time.perf_counter()
-                try:
-                    result = simulate(
-                        config,
-                        get_benchmark(key[0]),
-                        horizon=self.horizon,
-                        warmup=self.warmup,
-                    )
-                except Exception as exc:
-                    if point_span is not None:
-                        sim_span.end(status="error")
-                        point_span.set(outcome="failed")
-                        point_span.end(status="error")
-                    self._fail(batch, key, exc, time.perf_counter() - t0, *ids)
-                    continue
-                elapsed = time.perf_counter() - t0
-                if sim_span is not None:
-                    sim_span.end()
-                self._merge(batch, key, disk_key, result, elapsed, *ids)
+        for key, disk_key, config in pending:
+            point_span = sim_span = None
+            ids = (None, None)
+            if self._spans_on:
+                point_span = self._spans.start_span(
+                    "runner.point", component="runner",
+                    parent=self._span_parent,
+                    attrs={"workload": key[0], "config": key[1]},
+                )
+                sim_span = self._spans.start_span(
+                    "runner.simulate", component="runner", parent=point_span,
+                    attrs={"workload": key[0],
+                           "horizon": self.horizon, "warmup": self.warmup},
+                )
+                ids = (point_span.trace_id, point_span.span_id)
+            t0 = time.perf_counter()
+            try:
+                result = simulate(
+                    config,
+                    get_benchmark(key[0]),
+                    horizon=self.horizon,
+                    warmup=self.warmup,
+                )
+            except Exception as exc:
                 if point_span is not None:
-                    point_span.set(outcome="simulated")
-                    point_span.end()
+                    sim_span.end(status="error")
+                    point_span.set(outcome="failed")
+                    point_span.end(status="error")
+                self._fail(batch, key, exc, time.perf_counter() - t0, *ids)
+                continue
+            elapsed = time.perf_counter() - t0
+            if sim_span is not None:
+                sim_span.end()
+            self._merge(batch, key, disk_key, result, elapsed, *ids)
+            if point_span is not None:
+                point_span.set(outcome="simulated")
+                point_span.end()
 
     def _simulate_in_pool(
         self, pending: List[Tuple[Tuple[str, str], str, GpuConfig]], batch: _Batch

@@ -41,7 +41,7 @@ import dataclasses
 from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.analysis.report import render_table
-from repro.common.hostinfo import host_metadata
+from repro.common.hostinfo import host_metadata, peak_rss_mb
 from repro.experiments import figures
 from repro.experiments.runner import Runner
 
@@ -415,7 +415,10 @@ def build_scorecard(
     """The full ``scorecard.json`` document for one sweep.
 
     ``metrics`` can be injected (tests, pre-computed sweeps); otherwise
-    the runner collects them — from its result cache when warm.
+    the runner collects them — from its result cache when warm.  Besides
+    the checks, the document records what the sweep cost: ``simulate_s``,
+    the runner's simulate-phase wall seconds, and ``peak_rss_mb``, the
+    peak RSS of the largest process (this one or a pool worker).
     """
     if expectations is None:
         expectations = EXPECTATIONS
@@ -434,6 +437,8 @@ def build_scorecard(
         "host": host_metadata(),
         "points_simulated": runner.stats.points_simulated,
         "cache_hits": runner.stats.memory_hits + runner.stats.disk_hits,
+        "simulate_s": round(runner.stats.phase_seconds.get("simulate", 0.0), 3),
+        "peak_rss_mb": round(peak_rss_mb(), 1),
         "metrics": {k: round(v, 6) for k, v in metrics.items()},
         "figures": tables,
         "results": rows,

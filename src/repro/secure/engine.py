@@ -34,7 +34,7 @@ from repro.common.config import (
 from repro.common.stats import StatGroup
 from repro.secure.aes import AesEngineBank, MacUnit
 from repro.secure.layout import MetadataLayout
-from repro.sim.cache import AccessResult, Eviction, InfiniteCache, SectoredCache
+from repro.sim.cache import AccessResult, InfiniteCache, SectoredCache, _Line
 from repro.sim.dram import (
     CAT_COUNTER,
     CAT_DATA_READ,
@@ -58,6 +58,7 @@ from repro.telemetry.tracer import NULL_TRACER
 from repro.telemetry.traffic import CLASS_OF_KIND, TrafficClass
 
 _DATA = TrafficClass.DATA
+_LINE = params.CACHE_LINE_BYTES
 
 _KIND_TO_CATEGORY = {
     MetadataKind.COUNTER: CAT_COUNTER,
@@ -109,7 +110,6 @@ class _KindState:
         "kind",
         "kind_value",
         "stats",
-        "stat_add",
         "counts",
         "cache",
         "mshr",
@@ -124,6 +124,8 @@ class _KindState:
         "sets",
         "num_sets",
         "line_shift",
+        "assoc",
+        "full_mask",
         "mshr_entries",
     )
 
@@ -131,7 +133,6 @@ class _KindState:
         self.kind = kind
         self.kind_value = kind.value
         self.stats = stats
-        self.stat_add = stats.add
         self.counts = stats.raw()
         self.cache = None
         self.mshr = None
@@ -150,6 +151,8 @@ class _KindState:
         self.sets = None
         self.num_sets = 1
         self.line_shift = 0
+        self.assoc = 1
+        self.full_mask = 1
         self.mshr_entries = None
 
     def bind(self, cache, mshr: Optional[MshrTable]) -> None:
@@ -163,6 +166,8 @@ class _KindState:
             self.sets = cache._sets
             self.num_sets = cache._num_sets
             self.line_shift = cache._line_shift
+            self.assoc = cache._assoc
+            self.full_mask = cache._full_mask
 
 
 class SecureEngine:
@@ -250,6 +255,18 @@ class SecureEngine:
         self._dram_write = dram.write
         self._aes_process = self.aes.process
         self._mac_process = self.mac_unit.process
+        # counter and MAC block addresses by the layout's own arithmetic
+        # (MetadataLayout.counter_block_addr / mac_block_addr) on bound
+        # ints; tree walks read the layout's per-leaf ancestor memos.
+        self._protected_bytes = layout.protected_bytes
+        self._ctr_base = layout.counter_base
+        self._ctr_span = layout.counters.data_bytes_per_block
+        self._mac_base = layout.mac_base
+        self._mac_span = layout.macs.data_bytes_per_block
+        self._bmt_base = layout.bmt_base
+        self._bmt_walks = layout.bmt_walks
+        self._mt_walks = layout.mt_walks
+        self._minor_limit = layout.counters.minor_limit
         #: free-list of _Inflight records (slot reuse for per-miss churn).
         self._inflight_pool: List[_Inflight] = []
         #: (kind, block_addr) -> parent tree-node address (or None); pure
@@ -258,18 +275,14 @@ class SecureEngine:
         self._parent_memo = _shared_parent_memo(
             layout, self._counter_mode, config.uses_tree
         )
-        self._kind_state = {
-            kind: _KindState(kind, self._kind_stats[kind]) for kind in MetadataKind
-        }
-        self._inflight: Dict[MetadataKind, Dict[int, _Inflight]] = {}
-        for kind, state in self._kind_state.items():
+        kind_state = {kind: _KindState(kind, self._kind_stats[kind]) for kind in MetadataKind}
+        for kind, state in kind_state.items():
             state.bind(self._caches.get(kind), self._mshrs.get(kind))
             state.merge_cap = self._merge_caps[kind]
             state.mdc_pend = self._lat.channel(HOP_MDC, state.cls_label)
-            self._inflight[kind] = state.inflight
-        self._ctr_state = self._kind_state[MetadataKind.COUNTER]
-        self._mac_state = self._kind_state[MetadataKind.MAC]
-        self._tree_state = self._kind_state[MetadataKind.TREE]
+        self._ctr_state = kind_state[MetadataKind.COUNTER]
+        self._mac_state = kind_state[MetadataKind.MAC]
+        self._tree_state = kind_state[MetadataKind.TREE]
 
     def _build_caches(self) -> None:
         cfg = self.config
@@ -418,36 +431,42 @@ class SecureEngine:
         # channel occupancy is charged now (what later accesses observe).
         return self._dram_write(now, nbytes, CAT_DATA_WRITE, addr, _DATA)
 
-    def finalize(self) -> None:
-        """Flush dirty metadata (accounting only, at the end of a run)."""
-        # Intentionally a no-op for timing: the paper measures a fixed
-        # simulation window.  Kept as an explicit hook for symmetry with the
-        # functional model.
-
     # ------------------------------------------------------------------
     # metadata access machinery
     # ------------------------------------------------------------------
 
     def _counter_access(self, now: float, data_addr: int, is_write: bool) -> Tuple[float, float]:
         """Access the counter covering *data_addr*; returns (ready, walk_done)."""
-        block = self.layout.counter_block_addr(data_addr)
+        if not 0 <= data_addr < self._protected_bytes:
+            self.layout.check_data_addr(data_addr)  # raises
+        leaf = data_addr // self._ctr_span
+        block = self._ctr_base + leaf * _LINE
         ready, outcome = self._metadata_cache_access(now, self._ctr_state, block, is_write)
         walk_done = now
         if outcome is _PRIMARY and self._uses_tree:
-            walk_done = self._tree_walk(now, self.layout.bmt_path_addrs(data_addr)[:-1])
+            path = self._bmt_walks.get(leaf)
+            if path is None:
+                path = self._bmt_walks[leaf] = self.layout.bmt_path_addrs(data_addr)[:-1]
+            walk_done = self._tree_walk(now, path)
         if is_write:
-            self._note_counter_increment(now, data_addr)
+            self._note_counter_increment(now, data_addr, leaf)
             if self._uses_tree and not self._lazy:
                 self._eager_parent_update(now, MetadataKind.COUNTER, block)
         return ready, walk_done
 
     def _mac_access(self, now: float, data_addr: int, is_write: bool) -> Tuple[float, float]:
         """Access the MAC covering *data_addr*; returns (ready, walk_done)."""
-        block = self.layout.mac_block_addr(data_addr)
+        if not 0 <= data_addr < self._protected_bytes:
+            self.layout.check_data_addr(data_addr)  # raises
+        leaf = data_addr // self._mac_span
+        block = self._mac_base + leaf * _LINE
         ready, outcome = self._metadata_cache_access(now, self._mac_state, block, is_write)
         walk_done = now
         if outcome is _PRIMARY and self._walk_mt:
-            walk_done = self._tree_walk(now, self.layout.mt_path_addrs(data_addr)[:-1])
+            path = self._mt_walks.get(leaf)
+            if path is None:
+                path = self._mt_walks[leaf] = self.layout.mt_path_addrs(data_addr)[:-1]
+            walk_done = self._tree_walk(now, path)
         if is_write and self._walk_mt and not self._lazy:
             self._eager_parent_update(now, MetadataKind.MAC, block)
         return ready, walk_done
@@ -624,41 +643,61 @@ class SecureEngine:
         """Install a fetched metadata line; handle eviction writebacks."""
         now = self.events.now
         pending = state.inflight.pop(block_addr, None)
-        mshr = state.mshr
-        if mshr.enabled:
-            entry = mshr.get(block_addr)
-            if entry is not None:
-                mshr.release(block_addr)
-                mshr.recycle(entry)
+        entry = state.mshr_entries.pop(block_addr, None)
+        if entry is not None:
+            state.mshr.recycle(entry)
         dirty = False
         if pending is not None:
             dirty = pending.dirty
             self._inflight_pool.append(pending)
-        evictions = state.cache.fill(block_addr, dirty=dirty)
+        # SectoredCache.fill, inlined for the non-sectored metadata line.
+        tag = block_addr >> state.line_shift
+        cache_set = state.single_set
+        if cache_set is None:
+            cache_set = state.sets[tag % state.num_sets]
+        victim = None
+        line = cache_set.get(tag)
+        if line is None:
+            if len(cache_set) >= state.assoc:
+                victim_tag, victim = cache_set.popitem(last=False)  # the LRU line
+            line = _Line()
+            cache_set[tag] = line
+        line.valid_mask |= state.full_mask
+        if dirty:
+            line.dirty_mask |= state.full_mask
+        cache_set.move_to_end(tag)
+        cache_counts = state.cache_counts
+        cache_counts["fills"] += 1.0
         state.counts["fills"] += 1.0
-        for eviction in evictions:
-            self._handle_metadata_eviction(now, eviction)
+        if victim is not None:
+            cache_counts["evictions"] += 1.0
+            if victim.dirty_mask:
+                cache_counts["dirty_evictions"] += 1.0
+            self._handle_metadata_eviction(
+                now, victim_tag << state.line_shift, bool(victim.dirty_mask)
+            )
 
-    def _handle_metadata_eviction(self, now: float, eviction: Eviction) -> None:
+    def _handle_metadata_eviction(self, now: float, line_addr: int, dirty: bool) -> None:
         """Write back a dirty victim; lazily update its tree parent."""
-        victim_kind = self.layout.kind_of(eviction.line_addr)
-        if victim_kind is None:
-            raise RuntimeError("metadata cache evicted a data address")
-        victim_state = self._kind_state[victim_kind]
-        victim_state.stat_add("cache_evictions")
-        if not eviction.dirty:
+        if line_addr < self._mac_base:
+            if line_addr < self._ctr_base:
+                raise RuntimeError("metadata cache evicted a data address")
+            victim_state = self._ctr_state
+        elif line_addr < self._bmt_base:
+            victim_state = self._mac_state
+        else:
+            victim_state = self._tree_state
+        counts = victim_state.counts
+        counts["cache_evictions"] += 1.0
+        if not dirty:
             return
-        victim_state.stat_add("writebacks")
+        counts["writebacks"] += 1.0
         self._dram_write(
-            now,
-            params.CACHE_LINE_BYTES,
-            CAT_METADATA_WB,
-            eviction.line_addr,
-            tclass=victim_state.tclass,
+            now, _LINE, CAT_METADATA_WB, line_addr, tclass=victim_state.tclass
         )
         if not self._uses_tree:
             return
-        parent_addr = self._tree_parent_addr(victim_kind, eviction.line_addr)
+        parent_addr = self._tree_parent_addr(victim_state.kind, line_addr)
         if parent_addr is None:
             return  # protected by the on-chip root register
         # lazy update: recompute the parent hash slot in the tree cache.
@@ -734,13 +773,14 @@ class SecureEngine:
     # counter overflow (split-counter re-encryption)
     # ------------------------------------------------------------------
 
-    def _note_counter_increment(self, now: float, data_addr: int) -> None:
-        geometry = self.layout.counters
-        key = (geometry.block_index(data_addr), geometry.minor_index(data_addr))
+    def _note_counter_increment(self, now: float, data_addr: int, leaf: int) -> None:
+        """Count a write to *data_addr*, whose counter block is *leaf*."""
+        key = (leaf, (data_addr % self._ctr_span) // _LINE)
         count = self._minor_counts.get(key, 0) + 1
-        if count >= geometry.minor_limit:
+        if count >= self._minor_limit:
             # minor overflow: bump the major counter and re-encrypt the
             # whole 16 KB chunk under the new major value.
+            geometry = self.layout.counters
             self.stats.add("counter_overflows")
             chunk = geometry.data_bytes_per_block
             chunk_base = key[0] * chunk

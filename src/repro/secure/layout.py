@@ -23,24 +23,17 @@ from repro.common.config import MetadataKind
 from repro.secure.geometry import CounterGeometry, MacGeometry
 from repro.secure.merkle import TreeGeometry, bmt_geometry, mt_geometry
 
-#: per-layout LRU capacity for data-address -> metadata-address maps.  Sized
-#: well above any scaled workload's touched-sector count so steady-state runs
-#: never evict; bounded so a pathological address stream cannot grow without
-#: limit.
-_ADDR_MEMO_SIZE = 1 << 15
-_PATH_MEMO_SIZE = 1 << 14
-
 
 @dataclass(frozen=True)
 class MetadataLayout:
     """Region layout for counters, MACs and both integrity trees.
 
-    Address translation is on the simulator's hottest path (every protected
-    sector access derives counter/MAC/tree addresses), so the layout is
-    aggressively memoized at construction: region bases are computed once,
-    and the four translation methods are per-instance LRU maps over the
-    exact same arithmetic.  Memoization never changes a returned value —
-    the geometry is immutable — so results stay bit-identical.
+    Region bases are computed once at construction.  The translation
+    methods below are the definition of every metadata address.  The
+    timing engine repeats the counter/MAC block arithmetic on its own
+    bound integers per protected sector and memoizes tree paths per leaf
+    block in :attr:`bmt_walks` / :attr:`mt_walks`; a property test holds
+    both equal to these methods.
     """
 
     protected_bytes: int = params.PROTECTED_MEMORY_BYTES
@@ -67,13 +60,12 @@ class MetadataLayout:
         set_(self, "_mt_base", self._bmt_base + self._bmt_region_bytes)
         set_(self, "_mt_region_bytes", self.mt.internal_storage_bytes)
         set_(self, "_end", self._mt_base + self._mt_region_bytes)
-        # per-instance LRU maps shadowing the class methods of the same
-        # name.  Invalid addresses raise inside the wrapped function and
-        # are never cached, so validation behavior is unchanged.
-        set_(self, "counter_block_addr", lru_cache(_ADDR_MEMO_SIZE)(self.counter_block_addr))
-        set_(self, "mac_block_addr", lru_cache(_ADDR_MEMO_SIZE)(self.mac_block_addr))
-        set_(self, "bmt_path_addrs", lru_cache(_PATH_MEMO_SIZE)(self.bmt_path_addrs))
-        set_(self, "mt_path_addrs", lru_cache(_PATH_MEMO_SIZE)(self.mt_path_addrs))
+        # leaf block index -> the off-chip ancestors a verification walk
+        # from that leaf fetches (bmt_path_addrs / mt_path_addrs without
+        # the on-chip root).  Keyed per counter or MAC block, not per
+        # sector; the timing engine fills them on first use.
+        set_(self, "bmt_walks", {})
+        set_(self, "mt_walks", {})
 
     # -- region bases ----------------------------------------------------------
 
@@ -115,7 +107,8 @@ class MetadataLayout:
 
     # -- data -> metadata block addresses -----------------------------------------
 
-    def _check_data_addr(self, data_addr: int) -> None:
+    def check_data_addr(self, data_addr: int) -> None:
+        """Raise ValueError unless *data_addr* lies in the protected range."""
         if not 0 <= data_addr < self.protected_bytes:
             raise ValueError(
                 f"address {data_addr:#x} outside the protected range "
@@ -124,13 +117,13 @@ class MetadataLayout:
 
     def counter_block_addr(self, data_addr: int) -> int:
         """Address of the counter block covering *data_addr*."""
-        self._check_data_addr(data_addr)
+        self.check_data_addr(data_addr)
         index = self.counters.block_index(data_addr)
         return self.counter_base + index * params.CACHE_LINE_BYTES
 
     def mac_block_addr(self, data_addr: int) -> int:
         """Address of the MAC block covering *data_addr*."""
-        self._check_data_addr(data_addr)
+        self.check_data_addr(data_addr)
         index = self.macs.block_index(data_addr)
         return self.mac_base + index * params.CACHE_LINE_BYTES
 
@@ -142,13 +135,13 @@ class MetadataLayout:
 
     def bmt_path_addrs(self, data_addr: int) -> Tuple[int, ...]:
         """BMT node addresses from the covering counter block's parent to root."""
-        self._check_data_addr(data_addr)
+        self.check_data_addr(data_addr)
         leaf = self.counters.block_index(data_addr)
         return tuple(self.bmt_node_addr(lvl, idx) for lvl, idx in self.bmt.path_to_root(leaf))
 
     def mt_path_addrs(self, data_addr: int) -> Tuple[int, ...]:
         """MT node addresses from the covering MAC block's parent to root."""
-        self._check_data_addr(data_addr)
+        self.check_data_addr(data_addr)
         leaf = self.macs.block_index(data_addr)
         return tuple(self.mt_node_addr(lvl, idx) for lvl, idx in self.mt.path_to_root(leaf))
 
@@ -180,12 +173,11 @@ class MetadataLayout:
 def shared_layout(protected_bytes: int) -> MetadataLayout:
     """Process-wide shared layout for a protected-range size.
 
-    A :class:`MetadataLayout` is immutable and its per-instance LRU
-    translation maps are pure (data address -> metadata address), so one
-    instance can safely serve every simulation in the process.  Sharing is
-    the cross-point warm state: the second and later points of a sweep
-    reuse the address translations the first point computed instead of
-    re-deriving them from cold caches.  (Workers of a process pool each
-    warm their own instance — the memo is per process.)
+    A :class:`MetadataLayout`'s geometry is immutable, so one instance
+    serves every simulation of that size in the process: the points of a
+    sweep skip rebuilding its region bases and tree geometries, and share
+    its per-leaf walk memos, which only ever hold what the translation
+    methods return.  Nothing in it is keyed by sector address.  (Workers
+    of a process pool each build their own instance.)
     """
     return MetadataLayout(protected_bytes)

@@ -214,9 +214,10 @@ class SectoredCache:
     def fill(self, addr: int, dirty: bool = False) -> List[Eviction]:
         """Install the sector (or whole line, if non-sectored) for *addr*.
 
-        Returns evictions performed to make room (at most one).  Fills run
-        on every miss response (L1, L2, and metadata caches), so the set/
-        tag/sector-bit geometry is inlined here just as in :meth:`lookup`.
+        Returns evictions performed to make room (at most one).  The L1,
+        L2 and metadata-cache miss paths install lines with their own
+        inline copies of this; the set/tag/sector-bit geometry is inlined
+        here just as in :meth:`lookup`.
         """
         shift = self._line_shift
         tag = addr >> shift if shift is not None else addr // self._line_bytes

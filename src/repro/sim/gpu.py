@@ -100,8 +100,8 @@ class Gpu:
         self.stats = StatGroup("gpu")
         # per-partition metadata: each memory controller protects its own
         # slice of the protected range with its own counters/MACs/tree.
-        # The (immutable) layout is shared process-wide, so its
-        # address-translation memos stay warm across points.
+        # The layout is shared process-wide, so its per-leaf tree-walk
+        # memos stay warm across points.
         per_partition = config.secure.protected_bytes // config.num_partitions
         self.layout = shared_layout(max(per_partition, 1 << 20))
         #: telemetry is opt-in; when off, components hold NULL_TRACER and
@@ -273,6 +273,28 @@ class Gpu:
             partition.engine.aes._pipe.busy_cycles = 0.0
             partition.engine.mac_unit._pipe.busy_cycles = 0.0
 
+    def teardown(self) -> None:
+        """Break the model's reference cycles, so dropping it frees it.
+
+        A finished model is cyclic only through the containers cleared
+        here: pending events, the warps' ``done`` closures (each holds its
+        warp and its SM), the L1 and L2 in-flight waiters (SM callbacks,
+        the crossbar's return hop and the telemetry completion wrappers
+        around both), and with telemetry on, the sampler's gauges
+        (closures over the partitions and this object).  Once they are
+        cleared, the last reference to the model frees all of it by
+        refcount, with nothing left for the cyclic collector.
+        """
+        self.events.clear()
+        for sm in self.sms:
+            sm._l1_inflight.clear()
+            for warp in sm._warps:
+                warp.done = None
+        for partition in self.partitions:
+            partition.l2_mshr._entries.clear()
+        if self.telemetry is not None:
+            self.telemetry.sampler._gauges.clear()
+
     def _summarize(self, horizon: float) -> SimulationResult:
         instructions = sum(sm.instructions for sm in self.sms)
         dram_txn = {cat: 0.0 for cat in ALL_CATEGORIES}
@@ -327,12 +349,12 @@ def _gc_paused():
     """Pause cyclic garbage collection for the duration of one simulation.
 
     The event loop allocates heavily (closures, event tuples, trace
-    records) and nearly all of it dies by reference counting; the periodic
-    generation-0 scans only add overhead while the run is in flight.  The
-    collector is re-enabled on exit, so the dropped ``Gpu`` object graph —
-    which *is* cyclic (each SM's warps hold ``done`` closures over the SM,
-    and the rest of the model hangs off the SMs) — is reclaimed on the next
-    natural collection.  Respects a collector the caller already disabled.
+    records) and all of it dies by reference counting; the periodic
+    generation-0 scans would only walk the live model over and over while
+    the run is in flight.  ``simulate()`` breaks the model's cycles
+    (:meth:`Gpu.teardown`) before it drops the model, so when the
+    collector is re-enabled on exit there is no garbage left for it to
+    find.  Respects a collector the caller already disabled.
     """
     was_enabled = gc.isenabled()
     if was_enabled:
@@ -370,19 +392,7 @@ def simulate(
                     "class_bytes": class_bytes_from_result(result),
                 }
             )
-            # the export holds the event records and copies of the rest; the
-            # session's own buffers live inside the (cyclic) Gpu object
-            # graph, so clearing them here frees them by refcount instead of
-            # at the next collection.
-            gpu.telemetry.reset()
-        # pending events hold closures and bound methods into the model;
-        # clearing the queue frees them by refcount.  The model itself stays
-        # cyclic (see _gc_paused): one baseline x fdtd2d point leaves ~14k
-        # objects of cyclic garbage, ~18k with telemetry on.
-        gpu.events.clear()
-        # drop the model while the collector is still paused, so the first
-        # collection after re-enable finds it unreachable and frees it
-        # rather than promoting it to an older generation.
+        gpu.teardown()
         del gpu
     if metadata_trace:
         return result, trace

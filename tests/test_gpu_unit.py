@@ -1,10 +1,14 @@
-"""Gpu assembly, measurement reset, and result aggregation units."""
+"""Gpu assembly, measurement reset, teardown and result aggregation units."""
+
+import dataclasses
+import gc
 
 import pytest
 
 from repro import GpuConfig, MetadataKind
+from repro.common.config import TelemetryConfig
 from repro.experiments import designs
-from repro.sim.gpu import Gpu, SimulationResult
+from repro.sim.gpu import Gpu, SimulationResult, simulate
 from repro.workloads.suite import get_benchmark
 
 
@@ -88,3 +92,41 @@ class TestResultHelpers:
         gpu = tiny_gpu()
         result = gpu.run(1200)
         assert result.instructions == sum(sm.instructions for sm in gpu.sms)
+
+
+class TestTeardown:
+    """``simulate()`` leaves no cyclic garbage: the dropped model is freed
+    by refcount, so a sweep never waits on the collector to reclaim it."""
+
+    @pytest.fixture
+    def collector_off(self):
+        gc.collect()
+        gc.disable()  # no automatic collection may hide garbage
+        try:
+            yield
+        finally:
+            gc.enable()
+
+    @pytest.mark.parametrize("telemetry", [False, True], ids=["off", "on"])
+    @pytest.mark.parametrize("design", sorted(designs.DESIGNS))
+    def test_no_cyclic_garbage(self, design, telemetry, collector_off):
+        config = designs.build_named_gpu(design, 1)
+        if telemetry:
+            config = dataclasses.replace(
+                config, telemetry=TelemetryConfig(enabled=True, sample_every=200)
+            )
+        # lbm writes back dirty lines, so the window ends with L1/L2
+        # waiters, metadata fills and write-backs in flight.
+        result = simulate(config, get_benchmark("lbm"), horizon=800, warmup=400)
+        assert result.instructions > 0
+        del result
+        assert gc.collect() == 0
+
+    def test_no_cyclic_garbage_with_metadata_trace(self, collector_off):
+        result, trace = simulate(
+            designs.build_named_gpu("secureMem_mshr64", 1), get_benchmark("bfs"),
+            horizon=800, warmup=400, metadata_trace=True,
+        )
+        assert trace
+        del result, trace
+        assert gc.collect() == 0

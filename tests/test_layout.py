@@ -1,11 +1,20 @@
 """Metadata address-space layout: region boundaries and classification."""
 
+from functools import lru_cache
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.common import params
 from repro.common.config import MetadataKind
+from repro.common.stats import StatGroup
+from repro.experiments import designs
+from repro.secure.engine import SecureEngine
 from repro.secure.layout import MetadataLayout
+from repro.sim.dram import DramChannel
+from repro.sim.event import EventQueue
+from repro.sim.gpu import Gpu
+from repro.workloads.suite import get_benchmark
 
 MB = 1024 * 1024
 
@@ -148,3 +157,72 @@ class TestSharedCoverage:
         assert (a // 2048 == b // 2048) == (
             layout.mac_block_addr(a) == layout.mac_block_addr(b)
         )
+
+
+@lru_cache(maxsize=None)
+def _gpu_layout(partitions):
+    """The per-partition layout a GPU with *partitions* partitions builds."""
+    return Gpu(designs.build_gpu(designs.secure_mem(), partitions), get_benchmark("nw")).layout
+
+
+def _cold_engine(design, partitions, seen):
+    """A fresh engine on that layout, logging every metadata address it uses."""
+    config = designs.build_gpu(design, partitions)
+    return SecureEngine(
+        config.secure,
+        config,
+        DramChannel(config.dram, config.core_clock_mhz),
+        EventQueue(),
+        _gpu_layout(partitions),
+        StatGroup("engine"),
+        trace_hook=lambda kind, addr: seen.append((kind, addr)),
+    )
+
+
+class TestEngineAddressArithmetic:
+    """The engine computes metadata addresses by arithmetic on bound
+    integers; the layout's translation methods are the definition."""
+
+    @pytest.mark.parametrize("partitions", [1, 2, 4, 32])
+    @given(data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_counter_mode_read(self, partitions, data):
+        layout = _gpu_layout(partitions)
+        addr = data.draw(st.integers(0, layout.protected_bytes - 1))
+        seen = []
+        # cold caches: every access is a primary miss, so the BMT walk
+        # fetches every off-chip ancestor of the counter block.
+        _cold_engine(designs.secure_mem(), partitions, seen).read_sector(0.0, addr)
+        tree = [(MetadataKind.TREE, node) for node in layout.bmt_path_addrs(addr)[:-1]]
+        assert seen == [
+            (MetadataKind.COUNTER, layout.counter_block_addr(addr)),
+            *tree,
+            (MetadataKind.MAC, layout.mac_block_addr(addr)),
+        ]
+
+    @pytest.mark.parametrize("partitions", [1, 2, 4, 32])
+    @given(data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_direct_mode_read(self, partitions, data):
+        layout = _gpu_layout(partitions)
+        addr = data.draw(st.integers(0, layout.protected_bytes - 1))
+        seen = []
+        _cold_engine(designs.direct_mac_mt(), partitions, seen).read_sector(0.0, addr)
+        tree = [(MetadataKind.TREE, node) for node in layout.mt_path_addrs(addr)[:-1]]
+        assert seen == [(MetadataKind.MAC, layout.mac_block_addr(addr)), *tree]
+
+    @pytest.mark.parametrize("design", [designs.secure_mem, designs.direct_mac_mt])
+    @pytest.mark.parametrize("partitions", [1, 32])
+    @given(data=st.data())
+    @settings(max_examples=20, deadline=None)
+    def test_out_of_range_raises(self, design, partitions, data):
+        layout = _gpu_layout(partitions)
+        addr = data.draw(
+            st.integers(max_value=-1)
+            | st.integers(layout.protected_bytes, 2 * layout.protected_bytes)
+        )
+        engine = _cold_engine(design(), partitions, [])
+        with pytest.raises(ValueError, match="outside the protected range"):
+            engine.read_sector(0.0, addr)
+        with pytest.raises(ValueError, match="outside the protected range"):
+            engine.write_sector(0.0, addr)

@@ -400,6 +400,7 @@ class TestScorecard:
         # the shipped cache covers every figure the scorecard reads: nothing
         # may simulate, and every check must pass.
         assert doc["points_simulated"] == 0
+        assert doc["simulate_s"] == 0.0 and doc["peak_rss_mb"] > 0.0
         assert doc["status"] == "pass"
         assert {r["status"] for r in doc["results"]} == {"pass"}
         assert len(doc["results"]) == len(EXPECTATIONS)
