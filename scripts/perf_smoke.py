@@ -62,15 +62,6 @@ CORE_REPS = 5
 #: repetitions for the serial/parallel comparison sweeps.
 PARALLEL_REPS = 3
 
-#: repetitions and matrix for the metrics-registry overhead drains.
-METRICS_REPS = 3
-METRICS_HORIZON = 1_200
-METRICS_WARMUP = 800
-METRICS_POINTS = [
-    ("nw", {"design": "baseline", "partitions": 2}),
-    ("bfs", {"design": "baseline", "partitions": 2}),
-]
-
 #: --check fails when events/sec drops below (1 - tolerance) x baseline.
 REGRESSION_TOLERANCE = 0.30
 
@@ -158,60 +149,6 @@ def core_bench() -> dict:
             "overhead_seconds": round(on_best - off_best, 3),
             "drift_free": drift_free,
         },
-    }
-
-
-def metrics_bench() -> dict:
-    """Overhead of the live metrics plane on the worker drain path.
-
-    Drains identical fresh sweeps through an in-process worker twice per
-    rep — once with :data:`~repro.obsv.metrics.NULL_METRICS` (the plane
-    fully off) and once with a live registry persisting snapshots on
-    every point — interleaved so load spikes hit both sides equally.
-    The observability tax this guards is claim/report instrumentation +
-    snapshot persistence, not simulation itself (the sim hot path never
-    sees a live registry).
-    """
-    import tempfile
-
-    from repro.jobs.store import SQLiteJobStore
-    from repro.jobs.worker import Worker
-    from repro.obsv.metrics import NULL_METRICS, MetricsRegistry
-
-    null_times, live_times = [], []
-    with tempfile.TemporaryDirectory(prefix="metrics-bench-") as tmp:
-        for rep in range(METRICS_REPS):
-            for side, times in (("null", null_times), ("live", live_times)):
-                registry = NULL_METRICS if side == "null" else MetricsRegistry()
-                store = SQLiteJobStore(
-                    Path(tmp) / f"{side}-{rep}.sqlite", metrics=registry
-                )
-                store.submit_sweep(
-                    METRICS_POINTS, horizon=METRICS_HORIZON, warmup=METRICS_WARMUP
-                )
-                worker = Worker(store, poll_s=0.01, metrics=registry)
-                t0 = time.perf_counter()
-                worker.run(until="drained")
-                times.append(time.perf_counter() - t0)
-                store.close()
-    null_best, live_best = min(null_times), min(live_times)
-    null_med = statistics.median(null_times)
-    live_med = statistics.median(live_times)
-    return {
-        "reps": METRICS_REPS,
-        "points": len(METRICS_POINTS),
-        "horizon": METRICS_HORIZON,
-        "warmup": METRICS_WARMUP,
-        "methodology": "interleaved NULL_METRICS/instrumented worker drains, "
-        "best per side (median alongside)",
-        "null_seconds": round(null_best, 3),
-        "instrumented_seconds": round(live_best, 3),
-        "overhead_pct": (
-            round(100 * (live_best - null_best) / null_best, 1) if null_best else None
-        ),
-        "overhead_pct_median": (
-            round(100 * (live_med - null_med) / null_med, 1) if null_med else None
-        ),
     }
 
 
@@ -391,7 +328,6 @@ def main() -> int:
             ),
             "drift_free": drift_free,
         },
-        "metrics_registry": metrics_bench(),
     }
     Path(args.output).write_text(json.dumps(report, indent=2) + "\n")
     print(json.dumps(report, indent=2))

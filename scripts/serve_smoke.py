@@ -9,9 +9,10 @@ must pick the sweep up, and the long-polls must wake on its reports,
 through commits from another process.  It prints the POST latency and
 the terminal-notify latency (last report to the client seeing the
 terminal status), asserts the rendered dashboard HTML is non-empty,
-scrapes ``GET /metrics`` (asserting the worker's claim/report counters
-made it through the store and the service's own request histograms are
-present), and validates the distributed trace: ``GET
+scrapes ``GET /metrics`` (asserting the worker's point counts and the
+store's done jobs add up to the sweep), renders one ``repro top`` frame
+from the store file and one from the service's URL (each must list the
+worker), and validates the distributed trace: ``GET
 /sweeps/<id>/spans`` must show one trace id with at least one
 ``runner.point`` span per point, and ``repro spans --chrome`` must emit
 a loadable trace_event file (written to ``$SMOKE_TRACE_OUT`` when set,
@@ -27,6 +28,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -141,6 +143,8 @@ def main() -> int:
                 worker.wait()
         print(f"  [worker] {worker_out.strip()}")
         assert worker.returncode == 0, worker_err
+        # "worker <id>: N claim(s) — ..."
+        worker_id = worker_out.split()[1].rstrip(":")
         assert progress["status"] == "done", progress["failures"]
 
         results = http_json(base + f"/sweeps/{sweep_id}/results")["results"]
@@ -161,42 +165,35 @@ def main() -> int:
             content_type = response.headers.get("Content-Type", "")
             metrics_text = response.read().decode()
         assert content_type.startswith("text/plain"), content_type
-        sys.path.insert(0, str(ROOT / "src"))
-        from repro.obsv.metrics import parse_prometheus
-
-        samples = parse_prometheus(metrics_text)
-        claims = sum(
-            value
-            for (name, labels), value in samples.items()
-            if name == "repro_store_claims_total" and dict(labels).get("worker")
+        samples = re.findall(r"^(\w+)\{(.*)\} (\S+)$", metrics_text, re.M)
+        points = sum(
+            float(value)
+            for name, labels, value in samples
+            if name == "repro_worker_points_total"
+            and f'worker="{worker_id}"' in labels
         )
-        reports = sum(
-            value
-            for (name, labels), value in samples.items()
-            if name == "repro_store_reports_total" and dict(labels).get("worker")
-        )
-        assert claims >= 2, f"expected >=2 worker claims, got {claims}"
-        assert reports >= 2, f"expected >=2 worker reports, got {reports}"
-        assert any(
-            name == "repro_http_request_duration_us_count"
-            for (name, _labels) in samples
-        ), "request duration histogram missing"
-        assert any(
-            name == "repro_worker_points_total" for (name, _labels) in samples
-        ), "worker point counters missing"
+        done = [
+            float(value)
+            for name, labels, value in samples
+            if name == "repro_store_jobs" and labels == 'status="done"'
+        ]
+        assert points >= 2, f"expected >=2 points from {worker_id}, got {points}"
+        assert done == [submitted["total"]], f"store done jobs {done}"
         print(
             f"metrics ok ({len(metrics_text.splitlines())} lines, "
-            f"{claims:.0f} claims / {reports:.0f} reports seen)"
+            f"{points:.0f} points from the worker, {done[0]:.0f} jobs done)"
         )
 
-        top = subprocess.run(
-            [*REPRO, "top", "--store", str(store), "--once"],
-            capture_output=True, text=True, env=ENV, cwd=ROOT,
-            timeout=TIMEOUT_S,
-        )
-        assert top.returncode == 0, top.stderr
-        assert sweep_id in top.stdout, top.stdout
-        print("repro top ok")
+        for source in (["--store", str(store)], ["--url", base]):
+            top = subprocess.run(
+                [*REPRO, "top", *source, "--once"],
+                capture_output=True, text=True, env=ENV, cwd=ROOT,
+                timeout=TIMEOUT_S,
+            )
+            assert top.returncode == 0, top.stderr
+            assert sweep_id in top.stdout, top.stdout
+            assert worker_id[:40] in top.stdout, top.stdout
+            print(f"repro top {source[0]} ok")
 
         spans_doc = http_json(base + f"/sweeps/{sweep_id}/spans")
         spans = spans_doc["spans"]

@@ -721,19 +721,13 @@ def _cmd_worker(args) -> int:
             for process in processes:
                 process.terminate()
         return 0
-    from repro.obsv.metrics import MetricsRegistry
-
-    # one shared registry: store ops and worker series land in the same
-    # snapshot the heartbeat persists for the fleet views.
-    registry = MetricsRegistry()
-    store = SQLiteJobStore(args.store, metrics=registry)
+    store = SQLiteJobStore(args.store)
     worker = Worker(
         store,
         lease_s=args.lease,
         cache_dir=args.cache,
         ledger_dir=args.ledger_dir,
         max_points=args.max_points,
-        metrics=registry,
     )
     try:
         worker.run(until=until)

@@ -20,10 +20,12 @@ back durably:
   events, fetch results, the self-contained observability dashboard,
   and the fleet's Prometheus text exposition on ``GET /metrics``.
 
-Live fleet visibility rides the store: every worker persists its
-:mod:`repro.obsv.metrics` registry snapshot into the ``workers`` table
-on its heartbeat path, so the service (and ``repro top``) can render
-per-worker throughput for processes on other hosts.
+Fleet state is store rows too: each worker registers a row in the
+``workers`` table when it starts, its lease heartbeats stamp it, and
+each report the store accepts counts its outcome there, in the same
+transaction as the job-row update.  The service, ``repro top`` and the
+dashboard read those rows at query time, so they show workers on other
+hosts, and a worker reads busy the moment it holds a ``running`` row.
 
 Distributed tracing rides the store the same way: ``submit_sweep``
 stamps every sweep with a trace id and every job row with a W3C-style
@@ -43,7 +45,6 @@ from repro.jobs.store import (
     JOB_SCHEMA,
     Job,
     SQLiteJobStore,
-    open_store,
     span_sink,
 )
 from repro.jobs.worker import Worker, backoff_jitter, run_workers
@@ -56,7 +57,6 @@ __all__ = [
     "SweepService",
     "Worker",
     "backoff_jitter",
-    "open_store",
     "run_workers",
     "serve",
     "span_sink",

@@ -10,7 +10,8 @@ another sharing the filesystem) drain the queue.  stdlib only —
 API (all JSON unless noted)::
 
     GET  /healthz                 liveness + store counts
-    GET  /sweeps                  every sweep with live progress
+    GET  /sweeps                  every sweep with live progress, and
+                                  every worker's fleet row
     POST /sweeps                  submit: {"design": "secureMem_mshr64",
                                            "workloads": ["bfs", ...],   # default: all
                                            "partitions": 4,
@@ -28,9 +29,8 @@ API (all JSON unless noted)::
     GET  /sweeps/<id>/spans       the sweep's distributed-trace span
                                   records (submit/claim/execute/simulate)
     GET  /metrics                 Prometheus text exposition (text/plain):
-                                  service HTTP series, store counters,
-                                  queue-depth gauges, and every worker's
-                                  persisted snapshot labeled worker="id"
+                                  jobs by status, sweeps, workers, and
+                                  each worker's counts labeled worker="id"
 
 Expired leases are reclaimed two ways: progress queries sweep them
 inline (so a dead worker's points become claimable the next time anyone
@@ -46,12 +46,14 @@ as a submitted sweep reaches an idle worker.  Responses go out with
 Nagle's algorithm off, so a keep-alive client never waits ~40 ms for
 its own delayed ACK before the body arrives.
 
-The service keeps a live :class:`~repro.obsv.metrics.MetricsRegistry`
-shared with its store, so request counts/latency and service-side store
-ops are always on.  Workers are separate processes — their registries
-arrive through the store's ``workers`` table (persisted on the lease
-heartbeat path) and are re-rendered here with a ``worker`` label, which
-is what makes ``GET /metrics`` a *fleet* view rather than one process's.
+Fleet state is read from store rows on each request, never kept here:
+workers are separate processes, possibly on other hosts, and each keeps
+its counts on its ``workers`` row (see
+:meth:`~repro.jobs.store.SQLiteJobStore.workers`).  ``GET /sweeps``
+returns those rows as JSON and ``GET /metrics`` renders them, with the
+job counts, as Prometheus text — the store is the ground truth.  Each
+request's timing lives in the opt-in access log and, for a submit, in
+its ``http.submit`` span.
 
 Every request is also a **trace participant**: the handler opens a
 request span, ``POST /sweeps`` mints the sweep's trace and stamps its
@@ -86,7 +88,6 @@ from repro.experiments.designs import DESIGNS, build_named_gpu
 from repro.experiments.runner import result_from_dict
 from repro.jobs.store import SQLiteJobStore, iter_points
 from repro.obsv.logging import DEFAULT_MAX_BYTES, NULL_LOG, StructuredLogger
-from repro.obsv.metrics import MetricsRegistry, render_prometheus
 from repro.obsv.spans import SPAN_SCHEMA, new_span_id, new_trace_id
 from repro.workloads.suite import BENCHMARK_ORDER
 
@@ -208,6 +209,43 @@ def validate_submission(body: dict) -> Tuple[List[Tuple[str, dict]], dict]:
     return points, options
 
 
+def _label(value) -> str:
+    """One Prometheus label value, escaped."""
+    return str(value).replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\n")
+
+
+def render_metrics(store: SQLiteJobStore) -> str:
+    """``GET /metrics``: fleet state from store rows, as Prometheus text."""
+    workers = [(f'worker="{_label(w["worker"])}"', w) for w in store.workers()]
+    families = [
+        ("repro_store_jobs", "gauge", "Jobs in the store by status",
+         [(f'status="{status}"', n) for status, n in store.counts().items()]),
+        ("repro_store_sweeps", "gauge", "Sweeps submitted to the store",
+         [("", store.sweep_count())]),
+        ("repro_fleet_workers", "gauge", "Workers that ever joined this store",
+         [("", len(workers))]),
+        ("repro_worker_points_total", "counter",
+         "Attempts the store accepted from each worker, by outcome",
+         [(f'{who},outcome="{outcome}"', w[outcome])
+          for who, w in workers for outcome in ("simulated", "cached", "failed")]),
+        ("repro_worker_busy", "gauge", "1 while the worker holds a running job",
+         [(who, int(w["busy"])) for who, w in workers]),
+        ("repro_worker_points_per_s", "gauge", "Lifetime attempts per second",
+         [(who, w["points_per_s"]) for who, w in workers]),
+        ("repro_worker_uptime_s", "gauge", "Seconds from start to last seen",
+         [(who, w["uptime_s"]) for who, w in workers]),
+        ("repro_worker_last_seen_age_s", "gauge",
+         "Seconds since the worker's last heartbeat or report",
+         [(who, w["age_s"]) for who, w in workers]),
+    ]
+    out = []
+    for name, kind, help_text, samples in families:
+        out += [f"# HELP {name} {help_text}", f"# TYPE {name} {kind}"]
+        out += [f"{name}{{{labels}}} {value}" if labels else f"{name} {value}"
+                for labels, value in samples]
+    return "\n".join(out) + "\n"
+
+
 # ---------------------------------------------------------------------------
 # the HTTP server
 # ---------------------------------------------------------------------------
@@ -233,8 +271,7 @@ class SweepService(ThreadingHTTPServer):
         access_log_max_bytes: int = DEFAULT_MAX_BYTES,
         reaper_interval_s: Optional[float] = DEFAULT_REAPER_INTERVAL_S,
     ) -> None:
-        self.metrics = MetricsRegistry()
-        self.store = SQLiteJobStore(store_path, metrics=self.metrics)
+        self.store = SQLiteJobStore(store_path)
         self.store_path = Path(store_path)
         self.quiet = quiet
         self.access_log_path = Path(access_log) if access_log else None
@@ -242,20 +279,6 @@ class SweepService(ThreadingHTTPServer):
             StructuredLogger(self.access_log_path, max_bytes=access_log_max_bytes)
             if self.access_log_path is not None
             else NULL_LOG
-        )
-        self.m_requests = self.metrics.counter(
-            "repro_http_requests_total",
-            "HTTP requests served, by method/endpoint/status",
-            labels=("method", "endpoint", "status"),
-        )
-        self.m_request_us = self.metrics.histogram(
-            "repro_http_request_duration_us",
-            "HTTP request wall time in microseconds, by endpoint",
-            labels=("endpoint",),
-        )
-        self.m_reaper_passes = self.metrics.counter(
-            "repro_reaper_passes_total",
-            "Background lease-reaper sweeps completed",
         )
         super().__init__((host, port), _Handler)
         self._reaper_stop = threading.Event()
@@ -280,7 +303,6 @@ class SweepService(ThreadingHTTPServer):
                 requeued, poisoned = self.store.requeue_expired()
             except Exception:  # noqa: BLE001 — a closing store must not raise
                 return
-            self.m_reaper_passes.inc()
             if requeued or poisoned:
                 self.access_log.log(
                     "reaper.pass", requeued=requeued, poisoned=poisoned
@@ -319,24 +341,8 @@ class _Handler(BaseHTTPRequestHandler):
         if not self.server.quiet:
             super().log_message(fmt, *args)
 
-    def _endpoint_label(self) -> str:
-        """A low-cardinality endpoint name for metric labels.
-
-        Sweep ids are folded to ``{id}`` so one busy store cannot mint
-        an unbounded label set.
-        """
-        path = self.path.partition("?")[0]
-        if path in ("/", "/healthz"):
-            return "/healthz"
-        match = _SWEEP_PATH.match(path)
-        if match:
-            return "/sweeps/{id}" + (match.group(2) or "")
-        if path in ("/sweeps", "/metrics"):
-            return path
-        return "other"
-
     def _instrumented(self, method: str, route) -> None:
-        """Run one route with a request span, metrics + the access log.
+        """Run one route with a request span and the access log.
 
         Every request gets a span id; routes that resolve a sweep set
         ``self._trace_id`` so the access-log line joins the sweep's
@@ -360,11 +366,11 @@ class _Handler(BaseHTTPRequestHandler):
             self._record()
 
     def _record(self) -> None:
-        """Request metrics, the root span and the access-log line, once.
+        """The root span and the access-log line, once.
 
         Runs before the response bytes are written, so a client that
-        reads ``/metrics``, ``/spans`` or the access log right after a
-        response already finds the record.  The duration therefore
+        reads ``/spans`` or the access log right after a response
+        already finds the record.  The duration therefore
         covers handling up to the send, not the send itself.
         """
         if self._recorded:
@@ -373,10 +379,7 @@ class _Handler(BaseHTTPRequestHandler):
         server = self.server
         method = self._method
         duration_s = time.perf_counter() - self._start
-        endpoint = self._endpoint_label()
         status = self._status or 0
-        server.m_requests.labels(method, endpoint, str(status)).inc()
-        server.m_request_us.labels(endpoint).observe(duration_s * 1e6)
         if self._persist_span and self._trace_id:
             try:
                 server.store.record_span(
@@ -392,7 +395,8 @@ class _Handler(BaseHTTPRequestHandler):
                         "ts": self._wall_ts,
                         "duration_s": duration_s,
                         "status": "ok" if status < 400 else "error",
-                        "attrs": {"method": method, "endpoint": endpoint,
+                        "attrs": {"method": method,
+                                  "endpoint": self.path.partition("?")[0],
                                   "http.status": status},
                         "events": [],
                     },
@@ -477,10 +481,12 @@ class _Handler(BaseHTTPRequestHandler):
                 return
             if path == "/sweeps":
                 store.requeue_expired()
-                self._json(200, {"sweeps": store.sweeps()})
+                self._json(200, {"sweeps": store.sweeps(), "workers": store.workers()})
                 return
             if path == "/metrics":
-                self._metrics()
+                store.requeue_expired()
+                self._send(200, render_metrics(store).encode(),
+                           "text/plain; version=0.0.4; charset=utf-8")
                 return
             match = _SWEEP_PATH.match(path)
             if match:
@@ -557,40 +563,6 @@ class _Handler(BaseHTTPRequestHandler):
         except Exception as exc:  # noqa: BLE001
             self._error(500, f"{type(exc).__name__}: {exc}")
 
-    def _metrics(self) -> None:
-        """The fleet exposition: this process + store + every worker."""
-        server = self.server
-        store = server.store
-        store.requeue_expired()
-        fleet = store.workers_seen()
-        # Point-in-time store gauges are derived per scrape rather than
-        # carried as registry state — the store is the ground truth.
-        derived = MetricsRegistry()
-        jobs_gauge = derived.gauge(
-            "repro_store_jobs", "Jobs in the store by status", labels=("status",)
-        )
-        for status, count in store.counts().items():
-            jobs_gauge.labels(status).set(count)
-        derived.gauge("repro_store_sweeps", "Sweeps submitted to the store").set(
-            store.sweep_count()
-        )
-        derived.gauge("repro_fleet_workers", "Workers that ever joined this store").set(
-            len(fleet)
-        )
-        age_gauge = derived.gauge(
-            "repro_worker_last_seen_age_s",
-            "Seconds since each worker's last snapshot",
-            labels=("worker",),
-        )
-        for entry in fleet:
-            age_gauge.labels(entry["worker"]).set(entry["age_s"])
-        exposition = [(server.metrics.snapshot(), None), (derived.snapshot(), None)]
-        for entry in fleet:
-            if entry["metrics"]:
-                exposition.append((entry["metrics"], {"worker": entry["worker"]}))
-        body = render_prometheus(exposition)
-        self._send(200, body.encode(), "text/plain; version=0.0.4; charset=utf-8")
-
     def _events(self, sweep_id: str, query: str) -> None:
         """Long-poll for terminal events newer than ``since``.
 
@@ -658,7 +630,7 @@ class _Handler(BaseHTTPRequestHandler):
             title=f"Sweep {sweep_id}" + (f" — {progress['label']}" if progress["label"] else ""),
             ledger_records=sweep_ledger_records(store, sweep_id),
             progress=progress,
-            fleet=store.workers_seen(),
+            fleet=store.workers(),
             spans=store.spans(sweep_id),
             sources={"job store": str(self.server.store_path), "sweep": sweep_id},
         )

@@ -33,10 +33,18 @@ in :meth:`SQLiteJobStore.wait_for_change`, which watches ``PRAGMA
 data_version``: a commit on any other connection, in any process,
 wakes them within milliseconds.  Every idle worker wakes on the same
 commit and races to claim; the claim's re-check above settles the race.
+
+The store is also the one record of fleet state.  A worker registers a
+``workers`` row when it starts; its lease heartbeats stamp the row's
+last-seen time, and each report the store accepts counts the attempt's
+outcome there, in the same transaction as the job-row update.
+:meth:`SQLiteJobStore.workers` reads those rows at query time, and a
+worker is busy exactly while it holds a ``running`` job row.
 """
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import json
 import sqlite3
@@ -46,15 +54,16 @@ import uuid
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from repro.obsv.metrics import NULL_METRICS, snapshot_to_json
 from repro.obsv.spans import SPAN_SCHEMA, format_traceparent, new_span_id, new_trace_id
 
 #: bump when the jobs/sweeps/workers table layout changes incompatibly.
-#: v2 added the ``workers`` table (live worker metric snapshots); v3
-#: added trace columns (``sweeps.trace_id``/``root_span``,
-#: ``jobs.traceparent``) and the ``spans`` table.  Both upgrades are
-#: additive, so old stores open seamlessly.
-JOB_SCHEMA = 3
+#: v2 added the ``workers`` table (then a JSON metric snapshot per
+#: worker); v3 added trace columns (``sweeps.trace_id``/``root_span``,
+#: ``jobs.traceparent``) and the ``spans`` table; v4 gave ``workers``
+#: plain outcome counters in place of the snapshot.  Old stores open
+#: and drain: v2/v3 upgrades add the trace columns, and their
+#: ``workers`` rows, which hold no results, are dropped.
+JOB_SCHEMA = 4
 
 #: the states a job row can be in.
 STATUSES = ("pending", "running", "done", "failed")
@@ -72,13 +81,6 @@ DEFAULT_MAX_ATTEMPTS = 3
 CHANGE_POLL_S = 0.005
 CHANGE_POLL_IDLE_S = 0.1
 CHANGE_HOT_S = 1.0
-
-
-def _no_timer() -> None:
-    """Timer stand-in when metrics are disabled."""
-
-
-_NO_TIMER = _no_timer
 
 
 @dataclasses.dataclass
@@ -147,7 +149,9 @@ class SQLiteJobStore:
             id TEXT PRIMARY KEY,
             started_ts REAL NOT NULL,
             updated_ts REAL NOT NULL,
-            metrics TEXT
+            simulated INTEGER NOT NULL DEFAULT 0,
+            cached INTEGER NOT NULL DEFAULT 0,
+            failed INTEGER NOT NULL DEFAULT 0
         )""",
         """CREATE TABLE IF NOT EXISTS spans (
             id INTEGER PRIMARY KEY AUTOINCREMENT,
@@ -173,9 +177,7 @@ class SQLiteJobStore:
         ("jobs", "traceparent", "TEXT"),
     )
 
-    def __init__(
-        self, path: str | Path, timeout_s: float = 30.0, metrics=NULL_METRICS
-    ) -> None:
+    def __init__(self, path: str | Path, timeout_s: float = 30.0) -> None:
         self.path = Path(path)
         self.path.parent.mkdir(parents=True, exist_ok=True)
         self._lock = threading.RLock()
@@ -185,40 +187,6 @@ class SQLiteJobStore:
         #: moved: the pace wait_for_change polls at.
         self._activity: Optional[Tuple[int, int]] = None
         self._active_at = time.monotonic()
-        self.metrics = metrics
-        self._m_claims = metrics.counter(
-            "repro_store_claims_total", "Jobs atomically claimed from the store"
-        )
-        self._m_reports = metrics.counter(
-            "repro_store_reports_total",
-            "Attempt outcomes reported to the store",
-            labels=("outcome",),
-        )
-        self._m_requeued = metrics.counter(
-            "repro_store_requeued_total", "Expired leases returned to pending"
-        )
-        self._m_poisoned = metrics.counter(
-            "repro_store_poisoned_total",
-            "Jobs poison-failed after exhausting their attempt budget",
-        )
-        self._m_op_us = metrics.histogram(
-            "repro_store_op_us",
-            "Store operation latency in microseconds",
-            labels=("op",),
-        )
-        self._m_spans = metrics.counter(
-            "repro_store_spans_total",
-            "Distributed-trace spans persisted to the store",
-        )
-
-    def _timed(self, op: str):
-        """Start an op-latency measurement; call the result to record it."""
-        if not self.metrics.enabled:
-            return _NO_TIMER
-        start = time.perf_counter()
-        return lambda: self._m_op_us.labels(op).observe(
-            (time.perf_counter() - start) * 1e6
-        )
 
     def _connect(self, timeout_s: float) -> sqlite3.Connection:
         """Open the SQLite connection: autocommit, WAL mode."""
@@ -233,32 +201,56 @@ class SQLiteJobStore:
         conn.execute("PRAGMA synchronous=NORMAL")
         return conn
 
+    def _version(self) -> int:
+        version = self._conn.execute("PRAGMA user_version").fetchone()[0]
+        if version > JOB_SCHEMA:
+            raise RuntimeError(
+                f"job store {self.path} has schema v{version}, "
+                f"this build understands v{JOB_SCHEMA} — upgrade repro"
+            )
+        return version
+
     def _init_schema(self) -> None:
         with self._lock:
-            version = self._conn.execute("PRAGMA user_version").fetchone()[0]
-            if version > JOB_SCHEMA:
-                raise RuntimeError(
-                    f"job store {self.path} has schema v{version}, "
-                    f"this build understands v{JOB_SCHEMA} — upgrade repro"
-                )
-            for statement in self._CREATE:
-                self._conn.execute(statement)
-            if version and version < JOB_SCHEMA:
-                # additive upgrade: CREATE IF NOT EXISTS left pre-bump
-                # tables untouched, so bolt on any column they miss.
-                for table, column, ddl_type in self._UPGRADE_COLUMNS:
-                    present = {
-                        row[1]
-                        for row in self._conn.execute(
-                            f"PRAGMA table_info({table})"
-                        )
-                    }
-                    if column not in present:
-                        self._conn.execute(
-                            f"ALTER TABLE {table} ADD COLUMN {column} {ddl_type}"
-                        )
-            if version < JOB_SCHEMA:
+            if self._version() == JOB_SCHEMA:
+                return
+            # create or upgrade under the write lock, re-reading the
+            # version there, so two processes opening one old store
+            # upgrade it once.
+            with self._transaction():
+                version = self._version()
+                if version and version < 4:
+                    # v2/v3 worker rows hold metric snapshots, no results.
+                    self._conn.execute("DROP TABLE IF EXISTS workers")
+                for statement in self._CREATE:
+                    self._conn.execute(statement)
+                if version:
+                    # CREATE IF NOT EXISTS left pre-bump tables untouched,
+                    # so bolt on any column they miss.
+                    for table, column, ddl_type in self._UPGRADE_COLUMNS:
+                        present = {
+                            row[1]
+                            for row in self._conn.execute(
+                                f"PRAGMA table_info({table})"
+                            )
+                        }
+                        if column not in present:
+                            self._conn.execute(
+                                f"ALTER TABLE {table} ADD COLUMN {column} {ddl_type}"
+                            )
                 self._conn.execute(f"PRAGMA user_version={JOB_SCHEMA}")
+
+    @contextlib.contextmanager
+    def _transaction(self):
+        """One write transaction under the store lock: commit or roll back."""
+        with self._lock:
+            self._conn.execute("BEGIN IMMEDIATE")
+            try:
+                yield
+            except BaseException:
+                self._conn.execute("ROLLBACK")
+                raise
+            self._conn.execute("COMMIT")
 
     # -- lifecycle ------------------------------------------------------
 
@@ -345,28 +337,22 @@ class SQLiteJobStore:
         root_span = parent_span or new_span_id()
         traceparent = format_traceparent(trace_id, root_span)
         now = time.time()
-        with self._lock:
-            self._conn.execute("BEGIN IMMEDIATE")
-            try:
-                self._conn.execute(
-                    "INSERT INTO sweeps (id, created_ts, horizon, warmup, total,"
-                    " label, trace_id, root_span) VALUES (?, ?, ?, ?, ?, ?, ?, ?)",
-                    (sweep_id, now, horizon, warmup, len(points), label,
-                     trace_id, root_span),
-                )
-                self._conn.executemany(
-                    "INSERT INTO jobs (sweep_id, seq, workload, spec, max_attempts,"
-                    " traceparent) VALUES (?, ?, ?, ?, ?, ?)",
-                    [
-                        (sweep_id, seq, workload, json.dumps(spec, sort_keys=True),
-                         max(1, int(max_attempts)), traceparent)
-                        for seq, (workload, spec) in enumerate(points)
-                    ],
-                )
-                self._conn.execute("COMMIT")
-            except BaseException:
-                self._conn.execute("ROLLBACK")
-                raise
+        with self._transaction():
+            self._conn.execute(
+                "INSERT INTO sweeps (id, created_ts, horizon, warmup, total,"
+                " label, trace_id, root_span) VALUES (?, ?, ?, ?, ?, ?, ?, ?)",
+                (sweep_id, now, horizon, warmup, len(points), label,
+                 trace_id, root_span),
+            )
+            self._conn.executemany(
+                "INSERT INTO jobs (sweep_id, seq, workload, spec, max_attempts,"
+                " traceparent) VALUES (?, ?, ?, ?, ?, ?)",
+                [
+                    (sweep_id, seq, workload, json.dumps(spec, sort_keys=True),
+                     max(1, int(max_attempts)), traceparent)
+                    for seq, (workload, spec) in enumerate(points)
+                ],
+            )
         return sweep_id
 
     # -- the worker side ------------------------------------------------
@@ -379,7 +365,6 @@ class SQLiteJobStore:
         exactly one sees ``rowcount == 1``; the rest move to the next row.
         """
         now = time.time()
-        done = self._timed("claim")
         with self._lock:
             while True:
                 row = self._conn.execute(
@@ -388,7 +373,6 @@ class SQLiteJobStore:
                     (now,),
                 ).fetchone()
                 if row is None:
-                    done()
                     return None
                 taken = self._conn.execute(
                     "UPDATE jobs SET status='running', worker=?, lease_deadline=?,"
@@ -396,10 +380,7 @@ class SQLiteJobStore:
                     (worker_id, now + lease_s, now, row["id"]),
                 )
                 if taken.rowcount == 1:
-                    job = self._job(row["id"])
-                    done()
-                    self._m_claims.inc()
-                    return job
+                    return self._job(row["id"])
 
     def _job(self, job_id: int) -> Job:
         row = self._conn.execute(
@@ -422,17 +403,34 @@ class SQLiteJobStore:
             traceparent=row["traceparent"],
         )
 
+    def _stamp_worker(self, worker_id: str, now: float, outcome: Optional[str] = None) -> None:
+        """Mark a worker seen at *now*, counting one *outcome* if given.
+
+        Runs inside the caller's transaction, after its job-row update.
+        A worker that never registered has no row to stamp.
+        """
+        self._conn.execute(
+            "UPDATE workers SET updated_ts=?, simulated=simulated+?,"
+            " cached=cached+?, failed=failed+? WHERE id=?",
+            (now, outcome == "simulated", outcome == "cached", outcome == "failed",
+             worker_id),
+        )
+
     def heartbeat(self, job_id: int, worker_id: str, lease_s: float) -> bool:
-        """Extend a running job's lease; False when the claim was lost."""
-        done = self._timed("heartbeat")
-        with self._lock:
-            cur = self._conn.execute(
+        """Extend a running job's lease; False when the claim was lost.
+
+        An extended lease also stamps the worker's row as seen.
+        """
+        now = time.time()
+        with self._transaction():
+            accepted = self._conn.execute(
                 "UPDATE jobs SET lease_deadline=? WHERE id=? AND worker=?"
                 " AND status='running'",
-                (time.time() + lease_s, job_id, worker_id),
-            )
-            done()
-            return cur.rowcount == 1
+                (now + lease_s, job_id, worker_id),
+            ).rowcount == 1
+            if accepted:
+                self._stamp_worker(worker_id, now)
+        return accepted
 
     def report(
         self,
@@ -450,11 +448,12 @@ class SQLiteJobStore:
         ``outcome`` is ``simulated``/``cached`` (job becomes ``done``) or
         ``failed``.  A failure below the attempt budget returns the row to
         ``pending`` with ``not_before = now + retry_in_s`` (the worker's
-        capped backoff); at the budget it is poison-failed for good.
+        capped backoff); at the budget it is poison-failed for good.  An
+        accepted report counts its outcome on the worker's row in the
+        same transaction.
         """
         now = time.time()
-        done = self._timed("report")
-        with self._lock:
+        with self._transaction():
             if outcome != "failed":
                 cur = self._conn.execute(
                     "UPDATE jobs SET status='done', outcome=?, result=?, error=NULL,"
@@ -484,19 +483,8 @@ class SQLiteJobStore:
                      config_digest, job_id, worker_id),
                 )
             accepted = cur.rowcount == 1
-            poisoned = False
-            if accepted and outcome == "failed" and self.metrics.enabled:
-                poisoned = (
-                    self._conn.execute(
-                        "SELECT status FROM jobs WHERE id=?", (job_id,)
-                    ).fetchone()["status"]
-                    == "failed"
-                )
-            done()
-        if accepted:
-            self._m_reports.labels(outcome).inc()
-            if poisoned:
-                self._m_poisoned.inc()
+            if accepted:
+                self._stamp_worker(worker_id, now, outcome)
         return accepted
 
     def requeue_expired(self) -> Tuple[int, int]:
@@ -506,7 +494,6 @@ class SQLiteJobStore:
         every worker iteration and every service progress query.
         """
         now = time.time()
-        done = self._timed("requeue_expired")
         with self._lock:
             requeued = self._conn.execute(
                 "UPDATE jobs SET status='pending', worker=NULL, lease_deadline=NULL,"
@@ -521,11 +508,6 @@ class SQLiteJobStore:
                 " WHERE status='running' AND lease_deadline<?",
                 (now, now),
             ).rowcount
-            done()
-        if requeued:
-            self._m_requeued.inc(requeued)
-        if poisoned:
-            self._m_poisoned.inc(poisoned)
         return requeued, poisoned
 
     # -- observation ----------------------------------------------------
@@ -624,62 +606,52 @@ class SQLiteJobStore:
             "failures": failures,
         }
 
-    def record_worker(
-        self, worker_id: str, snapshot: dict, started_ts: Optional[float] = None
-    ) -> None:
-        """Upsert one worker's metrics snapshot (the live-fleet feed).
+    def register_worker(self, worker_id: str) -> None:
+        """Add a worker's row to the fleet, seen now.
 
-        Workers call this from their heartbeat path, so the service — a
-        different process, possibly a different host — can aggregate
-        every worker's counters into ``GET /metrics`` and the dashboard
-        fleet section without sharing memory with any of them.
+        A worker registers once, when it starts.  An id that registers
+        again keeps its row, counts and start time.
         """
         now = time.time()
-        payload = snapshot_to_json(snapshot)
-        done = self._timed("record_worker")
         with self._lock:
-            cur = self._conn.execute(
-                "UPDATE workers SET updated_ts=?, metrics=? WHERE id=?",
-                (now, payload, worker_id),
+            self._conn.execute(
+                "INSERT INTO workers (id, started_ts, updated_ts) VALUES (?, ?, ?)"
+                " ON CONFLICT(id) DO UPDATE SET updated_ts=excluded.updated_ts",
+                (worker_id, now, now),
             )
-            if cur.rowcount == 0:  # the worker's first snapshot
-                self._conn.execute(
-                    "INSERT INTO workers (id, started_ts, updated_ts, metrics)"
-                    " VALUES (?, ?, ?, ?)",
-                    (worker_id, started_ts if started_ts is not None else now,
-                     now, payload),
-                )
-            done()
 
-    def workers_seen(self, max_age_s: Optional[float] = None) -> List[dict]:
-        """Known workers with their last snapshot, most recent first.
+    def workers(self) -> List[dict]:
+        """Every registered worker, most recently seen first.
 
-        *max_age_s* filters out workers whose last snapshot is older —
-        the live-fleet views use this to drop long-gone processes.
+        Each row holds the worker's attempt counts by outcome, its
+        lifetime points/s (attempts over the time from its start to its
+        last stamp), its last-seen age, and ``busy``: true while it
+        holds a ``running`` job row.  Read from the rows on every call,
+        so a claim shows as busy at once.
         """
         now = time.time()
         with self._lock:
             rows = self._conn.execute(
-                "SELECT id, started_ts, updated_ts, metrics FROM workers"
-                " ORDER BY updated_ts DESC, id"
+                "SELECT w.*, EXISTS (SELECT 1 FROM jobs j WHERE j.status='running'"
+                " AND j.worker=w.id) AS busy FROM workers w"
+                " ORDER BY w.updated_ts DESC, w.id"
             ).fetchall()
         out = []
         for row in rows:
-            age_s = max(now - row["updated_ts"], 0.0)
-            if max_age_s is not None and age_s > max_age_s:
-                continue
-            try:
-                snapshot = json.loads(row["metrics"]) if row["metrics"] else None
-            except ValueError:
-                snapshot = None
+            uptime = max(row["updated_ts"] - row["started_ts"], 0.0)
+            points = row["simulated"] + row["cached"] + row["failed"]
             out.append(
                 {
                     "worker": row["id"],
                     "started_ts": row["started_ts"],
                     "updated_ts": row["updated_ts"],
-                    "age_s": round(age_s, 3),
-                    "uptime_s": round(max(row["updated_ts"] - row["started_ts"], 0.0), 3),
-                    "metrics": snapshot,
+                    "simulated": row["simulated"],
+                    "cached": row["cached"],
+                    "failed": row["failed"],
+                    "points_per_s": round(points / uptime, 4) if uptime > 0 else 0.0,
+                    "uptime_s": round(uptime, 3),
+                    "age_s": round(max(now - row["updated_ts"], 0.0), 3),
+                    "busy": bool(row["busy"]),
                 }
             )
         return out
@@ -772,9 +744,8 @@ class SQLiteJobStore:
 
         Workers and the service both write here, so the store is the
         rendezvous point for the merged timeline exactly as it is for
-        results and metric snapshots.
+        results and fleet state.
         """
-        done = self._timed("record_span")
         attrs = record.get("attrs") or {}
         events = record.get("events") or []
         with self._lock:
@@ -796,8 +767,6 @@ class SQLiteJobStore:
                     json.dumps(events, default=str) if events else None,
                 ),
             )
-            done()
-        self._m_spans.inc()
 
     def spans(self, sweep_id: str) -> List[dict]:
         """One sweep's span records in start order (record-dict shape).
@@ -855,11 +824,6 @@ def span_sink(store: SQLiteJobStore, sweep_id: str):
         store.record_span(sweep_id, record)
 
     return sink
-
-
-def open_store(path: str | Path, metrics=NULL_METRICS) -> SQLiteJobStore:
-    """The default backend for a filesystem path (SQLite, WAL mode)."""
-    return SQLiteJobStore(path, metrics=metrics)
 
 
 def iter_points(

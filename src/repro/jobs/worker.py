@@ -23,11 +23,19 @@ queue for someone else.  Failures are retried with capped exponential
 backoff (stamped into the row's ``not_before``) and poison-failed at the
 attempt budget, so one crashing config cannot wedge a sweep.
 
+The worker's fleet state is its row in the store: it registers the row
+when it starts, its heartbeats stamp it as seen, and each report the
+store accepts counts the attempt's outcome on it.  The store keeps
+nothing else per worker; ``repro top``, the dashboard and ``GET
+/metrics`` read those rows, and the worker is busy while it holds a
+``running`` job row.
+
 The worker is also a trace participant: each claimed job carries the
 sweep's traceparent (minted at submit), and the worker hangs a
 ``worker.claim`` span and a ``worker.execute`` span (heartbeats as
 instant events) under it, persisted back through the store — the same
-rendezvous results take.
+rendezvous results take.  A job row with no traceparent records no
+spans.
 
 An idle worker waits on a change, not on a timer: it blocks in
 :meth:`~repro.jobs.store.SQLiteJobStore.wait_for_change`, so a sweep
@@ -56,15 +64,14 @@ from repro.common.config import GpuConfig
 from repro.experiments.designs import build_named_gpu
 from repro.experiments.runner import Runner, config_key, result_to_dict
 from repro.jobs.store import Job, SQLiteJobStore, span_sink
-from repro.obsv.logging import NULL_LOG
-from repro.obsv.metrics import MetricsRegistry
 from repro.obsv.spans import NULL_SPANS, SpanRecorder, parse_traceparent
 
 #: backoff after the n-th failed attempt: min(cap, base * 2**(n-1) * jitter).
 BACKOFF_BASE_S = 0.5
 BACKOFF_CAP_S = 30.0
 
-#: the idle wait's timeout backs off exponentially from ``poll_s`` up to here.
+#: the idle wait's timeout backs off exponentially from ``poll_s`` up to
+#: here (or up to ``poll_s``, if that is longer).
 IDLE_BACKOFF_CAP_S = 5.0
 
 
@@ -114,13 +121,7 @@ class Worker:
         poll_s: float = 0.2,
         cache_dir: Optional[str | Path] = None,
         ledger_dir: Optional[str | Path] = None,
-        backoff_base_s: float = BACKOFF_BASE_S,
-        backoff_cap_s: float = BACKOFF_CAP_S,
-        idle_cap_s: float = IDLE_BACKOFF_CAP_S,
         max_points: Optional[int] = None,
-        metrics=None,
-        tracing: bool = True,
-        log=NULL_LOG,
     ) -> None:
         self.store = store
         self.worker_id = worker_id or default_worker_id()
@@ -128,12 +129,7 @@ class Worker:
         self.poll_s = max(0.01, float(poll_s))
         self.cache_dir = Path(cache_dir) if cache_dir else None
         self.ledger_dir = Path(ledger_dir) if ledger_dir else None
-        self.backoff_base_s = backoff_base_s
-        self.backoff_cap_s = backoff_cap_s
-        self.idle_cap_s = max(self.poll_s, float(idle_cap_s))
         self.max_points = max_points
-        self.tracing = tracing
-        self.log = log
         self.jitter = backoff_jitter(self.worker_id)
         self._idle_streak = 0
         #: wall ts + duration of the last successful claim, for its span.
@@ -143,41 +139,6 @@ class Worker:
         #: one runner per (horizon, warmup) window, reused across jobs so
         #: the memo table and warm state survive between points.
         self._runners: Dict[Tuple[float, float], Runner] = {}
-        # Workers default to a live registry (the per-point emission
-        # sites cost microseconds against multi-second points); pass the
-        # store's registry to share one process-wide view, or
-        # NULL_METRICS to switch the whole plane off (the overhead
-        # bench's control arm).
-        if metrics is None:
-            metrics = store.metrics if store.metrics.enabled else MetricsRegistry()
-        self.metrics = metrics
-        self.started_ts = time.time()
-        self._m_points = metrics.counter(
-            "repro_worker_points_total",
-            "Points this worker executed, by outcome",
-            labels=("outcome",),
-        )
-        self._m_point_us = metrics.histogram(
-            "repro_worker_point_duration_us",
-            "Per-point wall time in microseconds, by outcome",
-            labels=("outcome",),
-        )
-        self._m_heartbeats = metrics.counter(
-            "repro_worker_heartbeats_total", "Lease-heartbeat ticks sent"
-        )
-        self._m_idle_sleeps = metrics.counter(
-            "repro_worker_idle_sleeps_total",
-            "Idle waits (for a commit or the backoff timeout) with no claimable job",
-        )
-        self._m_busy = metrics.gauge(
-            "repro_worker_busy", "1 while executing a point, else 0"
-        )
-        self._m_rate = metrics.gauge(
-            "repro_worker_points_per_s", "Lifetime points-per-second throughput"
-        )
-        self._m_uptime = metrics.gauge(
-            "repro_worker_uptime_s", "Seconds since this worker started"
-        )
 
     # ------------------------------------------------------------------
 
@@ -199,29 +160,6 @@ class Worker:
             self._runners[window] = runner
         return runner
 
-    def _refresh_gauges(self) -> None:
-        uptime = max(time.time() - self.started_ts, 0.0)
-        self._m_uptime.set(uptime)
-        total = sum(self.executed.values())
-        self._m_rate.set(total / uptime if total and uptime > 0 else 0.0)
-
-    def _persist_snapshot(self) -> None:
-        """Push this worker's registry into the store, best-effort.
-
-        Rides the heartbeat/report cadence; a failure to persist is
-        never allowed to take down the work loop (observability is a
-        passenger here, same rule as the telemetry layer).
-        """
-        if not self.metrics.enabled:
-            return
-        self._refresh_gauges()
-        try:
-            self.store.record_worker(
-                self.worker_id, self.metrics.snapshot(), started_ts=self.started_ts
-            )
-        except Exception:  # noqa: BLE001 — observability must not kill work
-            pass
-
     def _heartbeat_loop(self, job: Job, stop: threading.Event, span) -> None:
         """Extend the lease at a third of its period until told to stop."""
         every = self.lease_s / 3.0
@@ -230,19 +168,15 @@ class Worker:
                 span.event("lease.lost")
                 return  # claim lost (lease expired under a stalled sim)
             span.event("lease.heartbeat", lease_s=self.lease_s)
-            self._m_heartbeats.inc()
-            self._persist_snapshot()
 
     def _trace_recorder(self, job: Job):
         """The recorder + parent context for one claimed job.
 
         The job row carries the sweep's traceparent; spans persist back
         through the store (the fleet rendezvous), so a worker on any
-        host lands on the submit request's timeline.  No traceparent —
-        or tracing off — degrades to the zero-cost NULL recorder.
+        host lands on the submit request's timeline.  No traceparent
+        degrades to the zero-cost NULL recorder.
         """
-        if not self.tracing:
-            return NULL_SPANS, None
         parent = parse_traceparent(job.traceparent)
         if parent is None:
             return NULL_SPANS, None
@@ -270,7 +204,6 @@ class Worker:
             target=self._heartbeat_loop, args=(job, stop, span), daemon=True
         )
         beat.start()
-        self._m_busy.set(1)
         t0 = time.perf_counter()
         try:
             config = build_config(job.spec)
@@ -293,8 +226,8 @@ class Worker:
             )
         except Exception as exc:  # noqa: BLE001 — every failure is reported
             retry_in = min(
-                self.backoff_cap_s,
-                self.backoff_base_s * 2 ** max(0, job.attempts - 1) * self.jitter,
+                BACKOFF_CAP_S,
+                BACKOFF_BASE_S * 2 ** max(0, job.attempts - 1) * self.jitter,
             )
             outcome = "failed"
             span.set(error=f"{type(exc).__name__}: {exc}")
@@ -309,20 +242,11 @@ class Worker:
         finally:
             stop.set()
             beat.join()
-            self._m_busy.set(0)
             for runner in self._runners.values():
                 runner.set_trace_context(NULL_SPANS, None)
             span.set(outcome=outcome)
             span.end(status="ok" if outcome != "failed" else "error")
         self.executed[outcome] += 1
-        self._m_points.labels(outcome).inc()
-        self._m_point_us.labels(outcome).observe((time.perf_counter() - t0) * 1e6)
-        self._persist_snapshot()
-        self.log.log(
-            "worker.point", worker=self.worker_id, workload=job.workload,
-            seq=job.seq, outcome=outcome, attempt=job.attempts,
-            trace_id=span.trace_id, span_id=span.span_id,
-        )
         return outcome
 
     # ------------------------------------------------------------------
@@ -332,8 +256,7 @@ class Worker:
         if until not in ("drained", "forever"):
             raise ValueError(f"until must be 'drained' or 'forever', got {until!r}")
         executed = 0
-        self._persist_snapshot()  # register with the fleet before first claim
-        self.log.log("worker.start", worker=self.worker_id, until=until)
+        self.store.register_worker(self.worker_id)
         while True:
             # read before the claim: a commit landing between the two
             # still ends the wait below at once.
@@ -353,11 +276,8 @@ class Worker:
             counts = self.store.counts()
             if until == "drained" and not counts["pending"] and not counts["running"]:
                 break
-            self._m_idle_sleeps.inc()
             self.store.wait_for_change(seen, self._idle_sleep_s())
-        self._persist_snapshot()
         self.close()
-        self.log.log("worker.exit", worker=self.worker_id, executed=executed)
         return executed
 
     def _idle_sleep_s(self) -> float:
@@ -367,7 +287,8 @@ class Worker:
         other connection ends the wait sooner; the timeout is only for
         what commits nothing — a retry's ``not_before`` coming due, or a
         lease lapsing."""
-        backoff = min(self.idle_cap_s, self.poll_s * (2 ** self._idle_streak))
+        cap = max(self.poll_s, IDLE_BACKOFF_CAP_S)
+        backoff = min(cap, self.poll_s * (2 ** self._idle_streak))
         self._idle_streak = min(self._idle_streak + 1, 16)
         return backoff * self.jitter
 
@@ -382,13 +303,9 @@ class Worker:
 
 
 def _worker_main(store_path: str, kwargs: dict, until: str) -> None:
-    # One shared registry per worker process: store-op series and worker
-    # series land in the same snapshot the heartbeat persists, so the
-    # service can render per-worker claim/report counters it never saw.
-    registry = MetricsRegistry()
-    store = SQLiteJobStore(store_path, metrics=registry)
+    store = SQLiteJobStore(store_path)
     try:
-        Worker(store, metrics=registry, **kwargs).run(until=until)
+        Worker(store, **kwargs).run(until=until)
     finally:
         store.close()
 

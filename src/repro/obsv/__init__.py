@@ -7,9 +7,8 @@ paper's conclusions (:mod:`repro.obsv.scorecard`), what moved between
 two sweeps (:mod:`repro.obsv.diff`), and one self-contained HTML page
 tying it all together (:mod:`repro.obsv.dashboard`).
 
-The *runtime* half lives in :mod:`repro.obsv.metrics` (the live metric
-registry and Prometheus exposition behind ``GET /metrics``),
-:mod:`repro.obsv.top` (the ``repro top`` fleet view),
+The *runtime* half lives in :mod:`repro.obsv.top` (the ``repro top``
+fleet view, which renders the job store's worker rows),
 :mod:`repro.obsv.spans` (distributed-trace spans: W3C-style trace
 context, JSONL/Chrome export, and a zero-cost NULL stub), and
 :mod:`repro.obsv.logging` (the structured JSONL logger with trace/span
@@ -18,14 +17,6 @@ correlation).
 
 from repro.obsv.dashboard import build_dashboard
 from repro.obsv.diff import diff_ledgers, render_diff
-from repro.obsv.metrics import (
-    METRICS_SCHEMA,
-    MetricsRegistry,
-    NULL_METRICS,
-    parse_prometheus,
-    render_prometheus,
-    snapshot_value,
-)
 from repro.obsv.ledger import (
     LEDGER_SCHEMA,
     RunLedger,
@@ -67,10 +58,7 @@ __all__ = [
     "EXPECTATIONS",
     "Expectation",
     "LEDGER_SCHEMA",
-    "METRICS_SCHEMA",
-    "MetricsRegistry",
     "NULL_LOG",
-    "NULL_METRICS",
     "NULL_SPANS",
     "JsonlSpanSink",
     "NullLogger",
@@ -91,9 +79,6 @@ __all__ = [
     "span_tree",
     "spans_to_chrome",
     "validate_links",
-    "parse_prometheus",
-    "render_prometheus",
-    "snapshot_value",
     "build_scorecard",
     "canonical_points",
     "diff_ledgers",

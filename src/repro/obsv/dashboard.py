@@ -259,37 +259,21 @@ def _progress_section(progress: Optional[dict]) -> str:
 
 
 def _fleet_section(fleet: Optional[List[dict]]) -> str:
-    """Live workers, from snapshots persisted through the job store.
-
-    Each entry is one :meth:`SQLiteJobStore.workers_seen` row: worker
-    id, last-seen age, and the worker's metrics snapshot (see
-    :mod:`repro.obsv.metrics`) holding its executed-point counters and
-    throughput gauges.
-    """
+    """Workers, one :meth:`SQLiteJobStore.workers` row each."""
     if not fleet:
         return _nodata("fleet")
-    from repro.obsv.metrics import snapshot_value
-
-    rows = []
-    for entry in fleet:
-        snap = entry.get("metrics")
-        simulated = snapshot_value(snap, "repro_worker_points_total", {"outcome": "simulated"})
-        cached = snapshot_value(snap, "repro_worker_points_total", {"outcome": "cached"})
-        failed = snapshot_value(snap, "repro_worker_points_total", {"outcome": "failed"})
-        rate = snapshot_value(snap, "repro_worker_points_per_s")
-        busy = snapshot_value(snap, "repro_worker_busy")
-        age = entry.get("age_s")
-        rows.append(
-            [
-                _esc(entry.get("worker", "?")),
-                _badge("pass") + " busy" if busy else _badge("skip") + " idle",
-                f"{simulated:.0f}",
-                f"{cached:.0f}",
-                f"{failed:.0f}" if failed else "0",
-                f"{rate:.2f}",
-                "-" if age is None else f"{age:.1f}s ago",
-            ]
-        )
+    rows = [
+        [
+            _esc(w["worker"]),
+            _badge("pass") + " busy" if w["busy"] else _badge("skip") + " idle",
+            str(w["simulated"]),
+            str(w["cached"]),
+            str(w["failed"]),
+            f"{w['points_per_s']:.2f}",
+            f"{w['age_s']:.1f}s ago",
+        ]
+        for w in fleet
+    ]
     return _table(
         ["worker", "state", "simulated", "cached", "failed", "pts/s", "last seen"],
         rows,

@@ -5,15 +5,15 @@ the fleet doing right now" — every sweep's progress/rate/ETA and every
 worker's throughput and last-seen age — refreshed in place until
 interrupted (or rendered once with ``--once``).
 
-Two interchangeable feeds produce the same normalized state dict:
+Two interchangeable feeds produce the same state dict, whose
+``workers`` list is :meth:`~repro.jobs.store.SQLiteJobStore.workers`:
 
 * :func:`fleet_from_store` reads a job-store SQLite file directly
   (workers on this host, or any host sharing the filesystem);
 * :func:`fleet_from_url` asks a running ``repro serve`` for
-  ``GET /sweeps`` and ``GET /metrics``, rebuilding per-worker rows from
-  the ``worker="id"``-labeled Prometheus series — so ``repro top
-  --url`` works against a service on another machine with no shared
-  disk.
+  ``GET /sweeps``, which returns the sweeps and the same worker rows as
+  JSON — so ``repro top --url`` works against a service on another
+  machine with no shared disk.
 
 Rendering is plain aligned text (no curses): a screen refresh is one
 ANSI clear + reprint, which survives dumb terminals and CI logs.
@@ -24,101 +24,29 @@ from __future__ import annotations
 import json
 import time
 import urllib.request
-from typing import Callable, Dict, List, Optional
+from typing import Callable, List, Optional
 
-from repro.obsv.metrics import parse_prometheus, snapshot_value
-
-#: drop workers whose last snapshot is older than this from the view.
+#: drop workers last seen longer ago than this from the view.
 STALE_WORKER_S = 300.0
-
-
-def _worker_row(
-    worker: str,
-    simulated: float,
-    cached: float,
-    failed: float,
-    rate: float,
-    busy: float,
-    age_s: Optional[float],
-) -> dict:
-    return {
-        "worker": worker,
-        "simulated": int(simulated),
-        "cached": int(cached),
-        "failed": int(failed),
-        "rate": rate,
-        "busy": bool(busy),
-        "age_s": age_s,
-    }
 
 
 def fleet_from_store(store) -> dict:
     """Fleet state straight from a :class:`SQLiteJobStore`."""
-    workers = []
-    for entry in store.workers_seen(max_age_s=STALE_WORKER_S):
-        snap = entry.get("metrics")
-        workers.append(
-            _worker_row(
-                entry["worker"],
-                snapshot_value(snap, "repro_worker_points_total", {"outcome": "simulated"}),
-                snapshot_value(snap, "repro_worker_points_total", {"outcome": "cached"}),
-                snapshot_value(snap, "repro_worker_points_total", {"outcome": "failed"}),
-                snapshot_value(snap, "repro_worker_points_per_s"),
-                snapshot_value(snap, "repro_worker_busy"),
-                entry.get("age_s"),
-            )
-        )
     return {
         "source": str(store.path),
         "ts": time.time(),
         "sweeps": store.sweeps(),
-        "workers": workers,
+        "workers": store.workers(),
     }
 
 
 def fleet_from_url(base_url: str, timeout_s: float = 10.0) -> dict:
-    """Fleet state from a live service's HTTP API."""
+    """Fleet state from a live service's ``GET /sweeps``."""
     base = base_url.rstrip("/")
-
-    def fetch(path: str) -> bytes:
-        with urllib.request.urlopen(base + path, timeout=timeout_s) as response:
-            return response.read()
-
-    sweeps = json.loads(fetch("/sweeps"))["sweeps"]
-    samples = parse_prometheus(fetch("/metrics").decode())
-    # regroup the flat samples by their worker label.
-    per_worker: Dict[str, Dict[str, float]] = {}
-    for (name, labels), value in samples.items():
-        label_map = dict(labels)
-        worker = label_map.get("worker")
-        if worker is None:
-            continue
-        if name == "repro_worker_points_total":
-            key = f"points:{label_map.get('outcome', '?')}"
-        elif name in (
-            "repro_worker_points_per_s",
-            "repro_worker_busy",
-            "repro_worker_last_seen_age_s",
-        ):
-            key = name
-        else:
-            continue
-        bucket = per_worker.setdefault(worker, {})
-        bucket[key] = bucket.get(key, 0.0) + value
-    workers = [
-        _worker_row(
-            worker,
-            series.get("points:simulated", 0.0),
-            series.get("points:cached", 0.0),
-            series.get("points:failed", 0.0),
-            series.get("repro_worker_points_per_s", 0.0),
-            series.get("repro_worker_busy", 0.0),
-            series.get("repro_worker_last_seen_age_s"),
-        )
-        for worker, series in sorted(per_worker.items())
-        if (series.get("repro_worker_last_seen_age_s") or 0.0) <= STALE_WORKER_S
-    ]
-    return {"source": base, "ts": time.time(), "sweeps": sweeps, "workers": workers}
+    with urllib.request.urlopen(base + "/sweeps", timeout=timeout_s) as response:
+        doc = json.loads(response.read())
+    return {"source": base, "ts": time.time(), "sweeps": doc["sweeps"],
+            "workers": doc["workers"]}
 
 
 # ---------------------------------------------------------------------------
@@ -136,10 +64,6 @@ def _fmt_eta(eta_s: Optional[float]) -> str:
     return f"{eta_s:.0f}s"
 
 
-def _fmt_age(age_s: Optional[float]) -> str:
-    return "-" if age_s is None else f"{age_s:.0f}s"
-
-
 def _render_table(headers: List[str], rows: List[List[str]]) -> List[str]:
     widths = [
         max(len(headers[i]), *(len(row[i]) for row in rows)) if rows else len(headers[i])
@@ -155,7 +79,9 @@ def _render_table(headers: List[str], rows: List[List[str]]) -> List[str]:
 def render_top(fleet: dict) -> str:
     """One screenful of fleet state as plain text."""
     sweeps = fleet.get("sweeps") or []
-    workers = fleet.get("workers") or []
+    workers = [
+        w for w in fleet.get("workers") or () if w["age_s"] <= STALE_WORKER_S
+    ]
     running = [s for s in sweeps if s.get("status") == "running"]
     busy = sum(1 for w in workers if w.get("busy"))
     out = [
@@ -194,8 +120,8 @@ def render_top(fleet: dict) -> str:
                 str(w["simulated"]),
                 str(w["cached"]),
                 str(w["failed"]),
-                f"{w['rate']:.2f}",
-                _fmt_age(w.get("age_s")),
+                f"{w['points_per_s']:.2f}",
+                f"{w['age_s']:.0f}s",
             ]
             for w in workers
         ]

@@ -159,9 +159,6 @@ class MetadataLayout:
             return MetadataKind.TREE
         raise ValueError(f"address {addr:#x} beyond the metadata regions")
 
-    def is_metadata(self, addr: int) -> bool:
-        return self.kind_of(addr) is not None
-
     def total_metadata_bytes(self, counter_mode: bool) -> int:
         """Table II's per-mode total metadata storage."""
         if counter_mode:

@@ -275,16 +275,6 @@ class SectoredCache:
             self.stats.add("dirty_evictions")
         return Eviction(line_addr=line_addr, dirty_sector_addrs=dirty_addrs)
 
-    def drain_dirty(self) -> List[Eviction]:
-        """Evict every dirty line (used at end of simulation for accounting)."""
-        evictions: List[Eviction] = []
-        for cache_set in self._sets:
-            for tag in list(cache_set):
-                if cache_set[tag].dirty_mask:
-                    cache_set.move_to_end(tag, last=False)
-                    evictions.append(self._evict_lru(cache_set))
-        return evictions
-
     # -- introspection ----------------------------------------------------------
 
     def resident_lines(self) -> int:
@@ -365,9 +355,6 @@ class InfiniteCache:
             self._dirty.add(line)
             return True
         return False
-
-    def drain_dirty(self) -> List[Eviction]:
-        return []
 
     def resident_lines(self) -> int:
         return len(self._resident)

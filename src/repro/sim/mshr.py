@@ -63,8 +63,9 @@ class MshrTable:
         self.enabled = num_entries > 0
         self._entries: Dict[int, MshrEntry] = {}
         #: free-list of released entries (slot reuse for the per-miss
-        #: allocation churn); callers hand entries back via :meth:`recycle`
-        #: once they are done reading the waiter list.
+        #: allocation churn).  A caller releases an entry by popping it
+        #: from ``_entries`` when its fill completes, and hands it back
+        #: via :meth:`recycle` once it is done reading the waiter list.
         self._pool: List[MshrEntry] = []
         #: lazy min-heap of (ready_time, line_addr) mirroring allocations,
         #: so :meth:`earliest_ready` is O(log n) instead of a full scan of
@@ -130,10 +131,6 @@ class MshrTable:
         self._entries[line_addr] = entry
         heapq.heappush(self._ready_heap, (ready_time, line_addr))
         return entry
-
-    def release(self, line_addr: int) -> MshrEntry:
-        """Remove and return the entry when its fill completes."""
-        return self._entries.pop(line_addr)
 
     def recycle(self, entry: MshrEntry) -> None:
         """Return a released entry to the free-list (caller is done with it)."""

@@ -101,14 +101,6 @@ class TestDirtyAndEviction:
         cache.fill(0x0)
         assert cache.mark_dirty(0x0)
 
-    def test_drain_dirty(self):
-        cache = small_cache(lines=4, assoc=2)
-        cache.fill(0x0, dirty=True)
-        cache.fill(0x80)
-        drained = cache.drain_dirty()
-        assert [e.line_addr for e in drained] == [0x0]
-        assert cache.resident_lines() == 1  # clean line stays
-
 
 class TestFillIdempotence:
     def test_fill_same_sector_twice_no_eviction(self):
@@ -185,11 +177,6 @@ class TestInfiniteCache:
         for i in range(1000):
             assert cache.fill(i * 128) == []
         assert cache.resident_lines() == 1000
-
-    def test_drain_dirty_is_empty(self):
-        cache = InfiniteCache()
-        cache.write_insert(0x0)
-        assert cache.drain_dirty() == []
 
     def test_miss_rate(self):
         cache = InfiniteCache()

@@ -30,6 +30,7 @@ from repro.jobs.store import (
 )
 from repro.jobs import service as service_module
 from repro.jobs import store as store_module
+from repro.jobs import worker as worker_module
 from repro.jobs.worker import Worker, build_config, default_worker_id
 from repro.jobs.service import (
     SweepService,
@@ -37,15 +38,7 @@ from repro.jobs.service import (
     validate_submission,
 )
 from repro.obsv.ledger import canonical_points, read_ledger
-from repro.obsv.metrics import (
-    MetricsRegistry,
-    NULL_METRICS,
-    escape_label_value,
-    parse_prometheus,
-    render_prometheus,
-    snapshot_value,
-)
-from repro.obsv.top import fleet_from_store, render_top
+from repro.obsv.top import fleet_from_store, fleet_from_url, render_top
 
 HORIZON, WARMUP = 1200.0, 800.0
 BENCHES = ["nw", "bfs"]
@@ -361,8 +354,10 @@ class TestWorker:
                                 result={"ipc": 0.0})
         store.close()
 
-    def test_failing_spec_poisons_not_wedges(self, tmp_path):
+    def test_failing_spec_poisons_not_wedges(self, tmp_path, monkeypatch):
         """One bad config burns its attempts and fails; the rest complete."""
+        monkeypatch.setattr(worker_module, "BACKOFF_BASE_S", 0.0)
+        monkeypatch.setattr(worker_module, "BACKOFF_CAP_S", 0.0)
         path = tmp_path / "q.sqlite"
         with SQLiteJobStore(path) as store:
             sweep_id = store.submit_sweep(
@@ -371,12 +366,14 @@ class TestWorker:
                 horizon=HORIZON, warmup=WARMUP, max_attempts=2,
             )
         store = SQLiteJobStore(path)
-        worker = Worker(store, worker_id="w1", poll_s=0.01,
-                        backoff_base_s=0.0, backoff_cap_s=0.0)
+        worker = Worker(store, worker_id="w1", poll_s=0.01)
         worker.run()
         counts = store.counts(sweep_id)
         assert counts["done"] == 1 and counts["failed"] == 1
         assert worker.executed["failed"] == 2  # two attempts, then poison
+        # the fleet row counts both failed attempts, retried and poisoned.
+        (row,) = store.workers()
+        assert (row["simulated"], row["cached"], row["failed"]) == (1, 0, 2)
         progress = store.progress(sweep_id)
         assert progress["status"] == "failed"
         assert "no_such_design" in progress["failures"][0]["error"]
@@ -703,115 +700,8 @@ class TestWakeOnChange:
 
 
 # ---------------------------------------------------------------------------
-# the metrics registry and fleet observability
+# fleet state from store rows
 # ---------------------------------------------------------------------------
-
-
-class TestMetricsRegistry:
-    def test_concurrent_increments_are_exact(self):
-        """4 threads hammering one counter lose nothing."""
-        registry = MetricsRegistry()
-        counter = registry.counter("t_total", "test", labels=("lane",))
-        hist = registry.histogram("t_us", "test")
-        per_thread, threads_n = 5_000, 4
-
-        def hammer(lane):
-            series = counter.labels(lane)
-            for i in range(per_thread):
-                series.inc()
-                hist.observe(float(i % 7 + 1))
-
-        threads = [threading.Thread(target=hammer, args=(f"l{i % 2}",))
-                   for i in range(threads_n)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        snap = registry.snapshot()
-        assert snapshot_value(snap, "t_total") == per_thread * threads_n
-        assert snapshot_value(snap, "t_total", {"lane": "l0"}) == 2 * per_thread
-        hist_doc = snap["metrics"]["t_us"]["series"][0]["hist"]
-        assert hist_doc["n"] == per_thread * threads_n
-
-    def test_label_cardinality_and_validation(self):
-        registry = MetricsRegistry()
-        family = registry.counter("c_total", "test", labels=("outcome",))
-        family.labels("a").inc()
-        family.labels("b").inc(2)
-        family.labels("a").inc(3)
-        snap = registry.snapshot()
-        series = snap["metrics"]["c_total"]["series"]
-        assert len(series) == 2  # one series per distinct label tuple
-        assert snapshot_value(snap, "c_total", {"outcome": "a"}) == 4
-        assert snapshot_value(snap, "c_total", {"outcome": "b"}) == 2
-        with pytest.raises(ValueError):
-            family.labels("a", "extra")  # arity mismatch
-        with pytest.raises(ValueError):
-            registry.gauge("c_total")  # kind mismatch on re-register
-        with pytest.raises(ValueError):
-            registry.counter("c_total", labels=("other",))  # label mismatch
-        with pytest.raises(ValueError):
-            registry.counter("bad name")
-        with pytest.raises(ValueError):
-            family.labels("a").inc(-1)  # counters only go up
-        # idempotent re-registration returns the same family.
-        assert registry.counter("c_total", labels=("outcome",)) is family
-
-    def test_prometheus_escaping_roundtrip(self):
-        nasty = 'quo"te\\slash\nnewline'
-        assert escape_label_value(nasty) == 'quo\\"te\\\\slash\\nnewline'
-        registry = MetricsRegistry()
-        registry.counter("e_total", "test", labels=("path",)).labels(nasty).inc()
-        text = render_prometheus([(registry.snapshot(), None)])
-        assert "\n\n" not in text  # escaped newline never splits a sample
-        samples = parse_prometheus(text)
-        assert samples[("e_total", (("path", nasty),))] == 1.0
-
-    def test_snapshot_merge_roundtrip(self):
-        a = MetricsRegistry()
-        a.counter("m_total", "test", labels=("k",)).labels("x").inc(3)
-        a.gauge("m_gauge", "test").set(7.0)
-        a.histogram("m_us", "test").observe(100.0)
-        b = MetricsRegistry()
-        b.counter("m_total", "test", labels=("k",)).labels("x").inc(2)
-        b.merge(a.snapshot())
-        b.merge(a.snapshot())
-        snap = b.snapshot()
-        # counters add per merge; gauges last-write-win.
-        assert snapshot_value(snap, "m_total", {"k": "x"}) == 3 + 3 + 2
-        assert snapshot_value(snap, "m_gauge") == 7.0
-        assert snap["metrics"]["m_us"]["series"][0]["hist"]["n"] == 2
-        # extra labels widen the series without touching the original.
-        c = MetricsRegistry()
-        c.merge(a.snapshot(), extra_labels={"worker": "w1"})
-        stamped = c.snapshot()
-        assert snapshot_value(stamped, "m_total",
-                              {"k": "x", "worker": "w1"}) == 3
-        assert snapshot_value(stamped, "m_total", {"worker": "w9"}) == 0
-
-    def test_render_parse_roundtrip(self):
-        registry = MetricsRegistry()
-        registry.counter("r_total", "help text", labels=("op",)).labels("claim").inc(5)
-        registry.gauge("r_gauge").set(2.5)
-        registry.histogram("r_us", "latency").observe(3.0)
-        text = render_prometheus([(registry.snapshot(), None)])
-        assert "# TYPE r_total counter" in text
-        assert "# HELP r_total help text" in text
-        samples = parse_prometheus(text)
-        assert samples[("r_total", (("op", "claim"),))] == 5.0
-        assert samples[("r_gauge", ())] == 2.5
-        assert samples[("r_us_count", ())] == 1.0
-        assert samples[("r_us_sum", ())] == 3.0
-        # cumulative buckets: value 3 lands in le=4, carried into +Inf.
-        assert samples[("r_us_bucket", (("le", "4"),))] == 1.0
-        assert samples[("r_us_bucket", (("le", "+Inf"),))] == 1.0
-
-    def test_null_registry_absorbs_everything(self):
-        assert not NULL_METRICS.enabled
-        NULL_METRICS.counter("x_total", labels=("a",)).labels("v").inc()
-        NULL_METRICS.gauge("x").set(1.0)
-        NULL_METRICS.histogram("x_us").observe(2.0)
-        assert NULL_METRICS.snapshot()["metrics"] == {}
 
 
 class TestProgressEdges:
@@ -875,45 +765,55 @@ class TestProgressEdges:
             assert progress["points_per_s"] == finished["points_per_s"] > 0
 
 
+def fleet_state(service, store, sweep_id):
+    """w1's busy flag in every fleet view: the store's rows, both
+    ``repro top`` feeds (and their rendered frames), the dashboard."""
+    (row,) = store.workers()
+    states = {"store.workers": row["busy"]}
+    for name, fleet in (("top --store", fleet_from_store(store)),
+                        ("top --url", fleet_from_url(service.url))):
+        (entry,) = fleet["workers"]
+        frame = re.search(r"^w1 +(busy|idle) ", render_top(fleet), re.M)
+        states[name] = entry["busy"]
+        states[name + " frame"] = frame.group(1) == "busy"
+    with urllib.request.urlopen(
+        service.url + f"/sweeps/{sweep_id}/dashboard"
+    ) as response:
+        html_text = response.read().decode()
+    cell = re.search(r"<td>w1</td><td><span[^>]*>[^<]*</span> (busy|idle)</td>",
+                     html_text)
+    states["dashboard"] = cell.group(1) == "busy"
+    return states
+
+
 class TestFleetMetrics:
-    def instrumented_drain(self, tmp_path):
-        """Mirror ``_worker_main``: store and worker share one registry."""
+    def drain(self, tmp_path):
         path = tmp_path / "q.sqlite"
         with SQLiteJobStore(path) as store:
             sweep_id = submit(store)
-        registry = MetricsRegistry()
-        store = SQLiteJobStore(path, metrics=registry)
-        worker = Worker(store, worker_id="w1", poll_s=0.01, metrics=registry)
-        worker.run()
-        return store, sweep_id, registry
+        store = SQLiteJobStore(path)
+        Worker(store, worker_id="w1", poll_s=0.01).run()
+        return store, sweep_id
 
     def test_store_and_worker_counters(self, tmp_path):
-        store, _sweep_id, registry = self.instrumented_drain(tmp_path)
+        store, _sweep_id = self.drain(tmp_path)
         total = len(BENCHES) * len(SPECS)
-        snap = registry.snapshot()
-        assert snapshot_value(snap, "repro_store_claims_total") == total
-        assert snapshot_value(snap, "repro_store_reports_total",
-                              {"outcome": "simulated"}) == total
-        assert snapshot_value(snap, "repro_worker_points_total",
-                              {"outcome": "simulated"}) == total
-        hist = snap["metrics"]["repro_worker_point_duration_us"]["series"]
-        assert sum(entry["hist"]["n"] for entry in hist) == total
-        op_hist = snap["metrics"]["repro_store_op_us"]["series"]
-        assert any(entry["labels"]["op"] == "claim" for entry in op_hist)
+        (row,) = store.workers()
+        assert row["worker"] == "w1"
+        assert (row["simulated"], row["cached"], row["failed"]) == (total, 0, 0)
+        assert not row["busy"]
+        uptime = row["updated_ts"] - row["started_ts"]
+        assert row["points_per_s"] == pytest.approx(total / uptime, rel=1e-3)
         store.close()
 
     def test_worker_snapshot_persists_through_store(self, tmp_path):
-        store, sweep_id, _registry = self.instrumented_drain(tmp_path)
-        fleet = store.workers_seen()
-        assert [entry["worker"] for entry in fleet] == ["w1"]
-        entry = fleet[0]
-        assert entry["uptime_s"] is not None and entry["age_s"] >= 0
-        persisted = entry["metrics"]
-        total = len(BENCHES) * len(SPECS)
-        assert snapshot_value(persisted, "repro_worker_points_total",
-                              {"outcome": "simulated"}) == total
-        # the store's own counters travel inside the worker snapshot.
-        assert snapshot_value(persisted, "repro_store_claims_total") == total
+        """The worker's row outlives its connection: another one reads it."""
+        store, sweep_id = self.drain(tmp_path)
+        store.close()
+        store = SQLiteJobStore(tmp_path / "q.sqlite")
+        (row,) = store.workers()
+        assert row["worker"] == "w1" and row["age_s"] >= 0
+        assert row["simulated"] == len(BENCHES) * len(SPECS)
         # repro top renders the same fleet state from the store.
         text = render_top(fleet_from_store(store))
         assert sweep_id in text
@@ -921,20 +821,73 @@ class TestFleetMetrics:
         store.close()
 
     def test_default_worker_self_instruments(self, tmp_path):
-        """No registry given: the worker makes its own, so the fleet is
-        visible even over an un-instrumented store — but the store's
-        counters (NULL registry) stay out of the snapshot."""
+        """A worker with a generated id registers its own row, whose
+        counts match what it executed."""
         path = tmp_path / "q.sqlite"
         with SQLiteJobStore(path) as store:
             submit(store, points=[("nw", SPECS[0])])
         store = SQLiteJobStore(path)
+        worker = Worker(store, poll_s=0.01)
+        worker.run()
+        (row,) = store.workers()
+        assert row["worker"] == worker.worker_id
+        assert {k: row[k] for k in worker.executed} == worker.executed
+        assert worker.executed["simulated"] == 1
+        store.close()
+
+    def test_claimed_worker_reads_busy_everywhere(self, service, tmp_path):
+        """A claim reads busy at once in every fleet view; the report
+        makes the worker idle again."""
+        store = SQLiteJobStore(tmp_path / "q.sqlite")
+        sweep_id = submit(store, points=[("nw", SPECS[0])])
+        store.register_worker("w1")
+        job = store.claim("w1", lease_s=30)
+        assert set(fleet_state(service, store, sweep_id).values()) == {True}
+        result = Runner(horizon=HORIZON, warmup=WARMUP).run("nw", build_config(SPECS[0]))
+        assert store.report(job.id, "w1", "simulated", result=result_to_dict(result))
+        assert set(fleet_state(service, store, sweep_id).values()) == {False}
+        (row,) = store.workers()
+        assert row["simulated"] == 1
+        store.close()
+
+    def test_refused_report_is_not_counted(self, tmp_path):
+        """Heartbeats and accepted reports stamp the worker's row; once
+        its claim is lost, neither touches it."""
+        with SQLiteJobStore(tmp_path / "q.sqlite") as store:
+            submit(store, points=[("nw", SPECS[0])])
+            store.register_worker("w1")
+            job = store.claim("w1", lease_s=30)
+            store._conn.execute("UPDATE workers SET updated_ts = 0")
+            assert store.heartbeat(job.id, "w1", 30)
+            assert store.workers()[0]["updated_ts"] > 0
+            # the lease lapses and the point is requeued under w1.
+            store._conn.execute("UPDATE jobs SET lease_deadline = 0")
+            assert store.requeue_expired() == (1, 0)
+            store._conn.execute("UPDATE workers SET updated_ts = 0")
+            assert not store.heartbeat(job.id, "w1", 30)
+            assert not store.report(job.id, "w1", "simulated", result={})
+            (row,) = store.workers()
+            assert row["updated_ts"] == 0
+            assert (row["simulated"], row["cached"], row["failed"]) == (0, 0, 0)
+
+    def test_url_and_store_feeds_agree(self, service, tmp_path):
+        """``repro top --url`` and ``--store`` read the same rows."""
+        http_json(
+            service.url + "/sweeps",
+            {"design": "baseline", "workloads": ["nw"], "partitions": 2,
+             "horizon": HORIZON, "warmup": WARMUP},
+        )
+        store = SQLiteJobStore(tmp_path / "q.sqlite")
         Worker(store, worker_id="w1", poll_s=0.01).run()
-        fleet = store.workers_seen()
-        assert [entry["worker"] for entry in fleet] == ["w1"]
-        persisted = fleet[0]["metrics"]
-        assert snapshot_value(persisted, "repro_worker_points_total",
-                              {"outcome": "simulated"}) == 1
-        assert snapshot_value(persisted, "repro_store_claims_total") == 0
+        store.register_worker("w2")
+        by_url, by_store = fleet_from_url(service.url), fleet_from_store(store)
+
+        def without_age(rows):  # ages move with the clock between reads
+            return [{k: v for k, v in row.items() if k != "age_s"} for row in rows]
+
+        assert [row["worker"] for row in by_store["workers"]] == ["w2", "w1"]
+        assert without_age(by_url["workers"]) == without_age(by_store["workers"])
+        assert by_url["sweeps"] == by_store["sweeps"]
         store.close()
 
     def test_metrics_endpoint(self, service, tmp_path):
@@ -943,31 +896,40 @@ class TestFleetMetrics:
             {"design": "baseline", "workloads": ["nw"], "partitions": 2,
              "horizon": HORIZON, "warmup": WARMUP},
         )
-        registry = MetricsRegistry()
-        store = SQLiteJobStore(tmp_path / "q.sqlite", metrics=registry)
-        Worker(store, worker_id="w1", poll_s=0.01, metrics=registry).run()
+        store = SQLiteJobStore(tmp_path / "q.sqlite")
+        Worker(store, worker_id="w1", poll_s=0.01).run()
+        store.register_worker('odd"id')
         store.close()
         with urllib.request.urlopen(service.url + "/metrics") as response:
             assert response.status == 200
             assert response.headers["Content-Type"].startswith("text/plain")
             text = response.read().decode()
-        samples = parse_prometheus(text)
-        by_name = {}
-        for (name, labels), value in samples.items():
-            by_name.setdefault(name, []).append((dict(labels), value))
-        # the service's own HTTP series.
-        assert any(labels.get("endpoint") == "/sweeps"
-                   for labels, _ in by_name["repro_http_requests_total"])
-        assert "repro_http_request_duration_us_count" in by_name
-        # derived store gauges.
-        assert sum(v for labels, v in by_name["repro_store_jobs"]
-                   if labels.get("status") == "done") == 1
-        assert by_name["repro_store_sweeps"][0][1] == 1
-        # the drained worker's snapshot, stamped worker="w1".
-        assert any(labels.get("worker") == "w1" and
-                   labels.get("outcome") == "simulated" and value == 1
-                   for labels, value in by_name["repro_worker_points_total"])
-        assert by_name["repro_fleet_workers"][0][1] == 1
+        lines = text.splitlines()
+        for line in (
+            'repro_store_jobs{status="done"} 1',
+            "repro_store_sweeps 1",
+            "repro_fleet_workers 2",
+            'repro_worker_points_total{worker="w1",outcome="simulated"} 1',
+            'repro_worker_points_total{worker="w1",outcome="failed"} 0',
+            'repro_worker_busy{worker="w1"} 0',
+            'repro_worker_busy{worker="odd\\"id"} 0',  # label escaping
+        ):
+            assert line in lines, line
+        families = {
+            "repro_store_jobs", "repro_store_sweeps", "repro_fleet_workers",
+            "repro_worker_points_total", "repro_worker_busy",
+            "repro_worker_points_per_s", "repro_worker_uptime_s",
+            "repro_worker_last_seen_age_s",
+        }
+        assert {line.split()[2] for line in lines
+                if line.startswith("# TYPE ")} == families
+        for line in lines:
+            if not line.startswith("#"):
+                assert line.split("{")[0].split()[0] in families, line
+                float(line.rsplit(" ", 1)[1])
+        for name in ("repro_worker_points_per_s", "repro_worker_uptime_s",
+                     "repro_worker_last_seen_age_s"):
+            assert any(line.startswith(name + '{worker="w1"} ') for line in lines)
 
     def test_events_endpoint(self, service, tmp_path):
         _, doc = http_json(
@@ -1067,12 +1029,6 @@ class TestFleetMetrics:
         assert [json.loads(line)["path"] for line in text.splitlines()] == [
             "/healthz"
         ]
-
-    def test_live_registry_counts_requests(self, service):
-        http_json(service.url + "/healthz")
-        snap = service.metrics.snapshot()
-        assert snapshot_value(snap, "repro_http_requests_total",
-                              {"endpoint": "/healthz", "status": "200"}) == 1
 
 
 class TestSynthesizedObservability:

@@ -109,7 +109,7 @@ class TestClassification:
     def test_data_addresses(self, layout):
         assert layout.kind_of(0) is None
         assert layout.kind_of(layout.protected_bytes - 1) is None
-        assert not layout.is_metadata(42)
+        assert layout.kind_of(42) is None
 
     def test_counter_addresses(self, layout):
         assert layout.kind_of(layout.counter_base) is MetadataKind.COUNTER
