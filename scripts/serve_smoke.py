@@ -18,7 +18,9 @@ worker), and validates the distributed trace: ``GET
 a loadable trace_event file (written to ``$SMOKE_TRACE_OUT`` when set,
 for CI artifact upload).  Exercises the exact process boundaries CI
 cares about: server and worker are separate OS processes meeting only
-at the SQLite store, and the client talks real TCP.
+at the SQLite store, and the client talks real TCP.  The store and the
+other scratch files live in a ``serve-smoke-*`` temporary directory,
+removed on exit, pass or fail, once the server has stopped.
 
 Exit 0 on success; any failure raises (non-zero exit) with the server's
 output echoed for diagnosis.
@@ -49,7 +51,7 @@ LONG_POLL_S = 10.0
 
 
 def wait_for_url(proc: subprocess.Popen) -> str:
-    """Parse the bound URL from the server's first stdout line."""
+    """Parse the bound URL from the server's "listening on" stdout line."""
     deadline = time.monotonic() + TIMEOUT_S
     while time.monotonic() < deadline:
         line = proc.stdout.readline()
@@ -58,9 +60,11 @@ def wait_for_url(proc: subprocess.Popen) -> str:
                 raise RuntimeError(f"server exited early: rc={proc.returncode}")
             time.sleep(0.05)
             continue
-        print(f"  [serve] {line.rstrip()}")
         if "listening on " in line:
-            return line.split("listening on ", 1)[1].split()[0]
+            url = line.split("listening on ", 1)[1].split()[0]
+            print(f"  [serve] listening on {url}")  # not the store path
+            return url
+        print(f"  [serve] {line.rstrip()}")
     raise RuntimeError("server never printed its listening URL")
 
 
@@ -75,7 +79,11 @@ def http_json(url: str, payload: dict | None = None) -> dict:
 
 
 def main() -> int:
-    tmp = Path(tempfile.mkdtemp(prefix="serve-smoke-"))
+    with tempfile.TemporaryDirectory(prefix="serve-smoke-") as tmp:
+        return smoke(Path(tmp))
+
+
+def smoke(tmp: Path) -> int:
     store = tmp / "sweeps.sqlite"
     server = subprocess.Popen(
         [*REPRO, "serve", "--store", str(store), "--port", "0"],
@@ -208,9 +216,8 @@ def main() -> int:
         assert any(s["name"] == "worker.execute" for s in spans), spans
         print(f"spans ok ({len(spans)} spans, one trace)")
 
-        chrome_out = os.environ.get(
-            "SMOKE_TRACE_OUT", str(tmp / "sweep-trace.json")
-        )
+        kept_trace = os.environ.get("SMOKE_TRACE_OUT")
+        chrome_out = kept_trace or str(tmp / "sweep-trace.json")
         spans_cli = subprocess.run(
             [*REPRO, "spans", sweep_id, "--store", str(store),
              "--chrome", chrome_out],
@@ -224,7 +231,8 @@ def main() -> int:
         assert len(x_events) >= submitted["total"], chrome["otherData"]
         assert chrome["otherData"]["sweep_id"] == sweep_id
         print(
-            f"repro spans ok ({len(x_events)} timeline events -> {chrome_out})"
+            f"repro spans ok ({len(x_events)} timeline events"
+            + (f" -> {kept_trace})" if kept_trace else ")")
         )
 
         print("serve smoke: PASS")
@@ -235,6 +243,7 @@ def main() -> int:
             server.wait(timeout=10)
         except subprocess.TimeoutExpired:
             server.kill()
+            server.wait()
 
 
 if __name__ == "__main__":

@@ -67,10 +67,11 @@ class MshrTable:
         #: from ``_entries`` when its fill completes, and hands it back
         #: via :meth:`recycle` once it is done reading the waiter list.
         self._pool: List[MshrEntry] = []
-        #: lazy min-heap of (ready_time, line_addr) mirroring allocations,
-        #: so :meth:`earliest_ready` is O(log n) instead of a full scan of
-        #: the table on every structural stall.  Stale items (released or
-        #: re-allocated lines) are skipped at read time.
+        #: min-heap of (ready_time, line_addr) mirroring allocations, so
+        #: :meth:`earliest_ready` is O(log n) instead of a full scan of
+        #: the table on every structural stall.  Entries are released at
+        #: their ready time and :meth:`recycle` pops stale heads, so the
+        #: heap holds the live entries plus ties on the oldest ready time.
         self._ready_heap: List[Tuple[float, int]] = []
 
     def __len__(self) -> int:
@@ -133,22 +134,29 @@ class MshrTable:
         return entry
 
     def recycle(self, entry: MshrEntry) -> None:
-        """Return a released entry to the free-list (caller is done with it)."""
+        """Return a released entry to the free-list (caller is done with it).
+
+        Both release sites call this, so it also pops the ready-heap heads
+        that releases left stale.
+        """
         entry.waiters.clear()
         self._pool.append(entry)
+        self._drop_stale_heads()
 
-    def earliest_ready(self) -> float:
-        """Ready time of the first fill that will free an entry."""
-        entries = self._entries
-        if not entries:
-            return 0.0
+    def _drop_stale_heads(self) -> None:
         heap = self._ready_heap
+        entries = self._entries
         while heap:
             ready_time, line_addr = heap[0]
             entry = entries.get(line_addr)
             if entry is not None and entry.ready_time == ready_time:
-                return ready_time
+                return
             heapq.heappop(heap)  # stale: released or re-allocated since
-        # unreachable while the heap mirrors allocations; kept as a safety
-        # net so a future bulk-clear cannot silently corrupt timing.
-        return min(entry.ready_time for entry in entries.values())
+
+    def earliest_ready(self) -> float:
+        """Ready time of the first fill that will free an entry."""
+        if not self._entries:
+            return 0.0
+        # every live entry keeps its heap item, so the heap is not empty.
+        self._drop_stale_heads()
+        return self._ready_heap[0][0]

@@ -30,7 +30,7 @@ class WarpOp:
 
     Slotted: the SM's issue loop reads several fields per op for millions
     of ops per run, and slot descriptors beat per-instance dict lookups
-    (they also shrink the per-warp op memos).
+    (they also shrink the ``tiled`` generator's op memo).
     """
 
     n_insts: int

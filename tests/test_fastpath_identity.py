@@ -32,7 +32,7 @@ from repro.common.config import TelemetryConfig
 from repro.experiments import designs
 from repro.experiments.runner import Runner, result_to_dict
 from repro.obsv.ledger import canonical_points, read_ledger
-from repro.sim.gpu import simulate
+from repro.sim.gpu import Gpu, simulate
 from repro.workloads.suite import get_benchmark
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -202,6 +202,23 @@ def design_golden() -> dict:
 def test_design_point_matches_golden(design_golden: dict, point_id: str) -> None:
     """Every design and model shape reproduces its committed point exactly."""
     assert _design_point(point_id) == design_golden[point_id]
+
+
+@pytest.mark.parametrize("point_id", ["baseline/bfs/p2", "secureMem_mshr64/bfs/p2"])
+def test_mshr_ready_heaps_bounded_after_run(design_golden: dict, point_id: str) -> None:
+    """A finished point's MSHR ready heaps hold live state, not history:
+    each is no longer than its table's capacity (one item per released
+    fill would be several times the capacity by the window's end)."""
+    name, workload, partitions = point_id.split("/")
+    gpu = Gpu(designs.build_named_gpu(name, int(partitions[1:])), get_benchmark(workload))
+    out = gpu.run(HORIZON, warmup=WARMUP)
+    assert result_to_dict(out) == design_golden[point_id]["result"]
+    assert out.events_processed == design_golden[point_id]["events"]
+    tables = [p.l2_mshr for p in gpu.partitions]
+    tables += [table for p in gpu.partitions for table in p.engine._mshrs.values()]
+    over = {t.name: len(t._ready_heap) for t in tables if len(t._ready_heap) > t.num_entries}
+    assert over == {}
+    gpu.teardown()
 
 
 def test_design_golden_reaches_the_write_path(design_golden: dict) -> None:

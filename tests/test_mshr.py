@@ -1,6 +1,7 @@
 """MSHR table: allocation, merging, caps, release."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.sim.mshr import MshrTable
 
@@ -112,3 +113,44 @@ class TestEarliestReady:
         table.allocate(0x100, 10.0)
         table._entries.pop(0x100)  # leaves a stale heap item
         assert table.earliest_ready() == 30.0
+
+
+#: one oracle step: allocate ``line`` to be ready ``delay`` cycles from now,
+#: or (``None``) release one of the entries ready soonest, at its ready time.
+_STEPS = st.lists(
+    st.one_of(st.tuples(st.integers(0, 15), st.integers(0, 6)), st.none()),
+    max_size=120,
+)
+
+
+class TestReadyHeapOracle:
+    """Released at its ready time through ``recycle``, as the L2 and the
+    secure engine release, an entry leaves nothing behind in the heap but
+    ties on the oldest ready time: the heap is bounded by live state."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(steps=_STEPS, data=st.data())
+    def test_heap_tracks_live_entries(self, steps, data):
+        table = MshrTable(8, 4)
+        live = {}  # line -> ready time: the oracle
+        now = 0.0
+        for step in steps:
+            if step is not None:
+                line, delay = step[0] * 128, step[1]
+                if table.full or line in live:
+                    continue
+                table.allocate(line, now + delay)
+                live[line] = now + delay
+            elif live:
+                now = min(live.values())
+                line = data.draw(st.sampled_from(sorted(a for a, t in live.items() if t == now)))
+                del live[line]
+                table.recycle(table._entries.pop(line))  # how partition and engine release
+            heap = table._ready_heap
+            if live:
+                oldest = min(live.values())
+                assert {(t, a) for a, t in live.items()} <= set(heap)
+                assert all(live.get(a) == t or t == oldest for t, a in heap)
+            else:
+                assert heap == []
+            assert table.earliest_ready() == (min(live.values()) if live else 0.0)

@@ -1,11 +1,13 @@
 """Workload specs and access-pattern generators."""
 
 import itertools
+import tracemalloc
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.common import params
+from repro.common.config import GpuConfig
 from repro.workloads import patterns
 from repro.workloads.base import WarpOp, WorkloadSpec
 from repro.workloads.suite import (
@@ -225,6 +227,22 @@ class TestMixed:
             pytest.fail("expected read ops in the hot region")
 
 
+    def test_hot_span_wraps_inside_hot_set(self):
+        """A hot op at the last hot line wraps inside ``hot_bytes``, even
+        after the cold stream has visited that line (an op memo keyed by
+        ``(line, is_write)`` would serve the cold op's span here)."""
+        spec = get_benchmark("2Dconvolution")
+        config = GpuConfig.scaled(4)
+        warps_per_sm = min(spec.warps_per_sm, config.max_warps_per_sm)
+        assert (config.num_sms, warps_per_sm) == (10, 12)
+        trace = spec.warp_trace(0, 0, config.num_sms, warps_per_sm)
+        op = next(itertools.islice(trace, 13_209, None))
+        assert not op.is_write
+        assert op.mem_addrs == (
+            0x5FF80, 0x5FFA0, 0x5FFC0, 0x5FFE0, 0x0, 0x20, 0x40, 0x60,
+        )
+
+
 class TestPointerChase:
     def test_fanout_controls_access_count(self):
         spec = spec_for(patterns.pointer_chase, extra={"fanout": 6})
@@ -258,6 +276,55 @@ class TestStencil:
         for op in ops:
             if op.is_write:
                 assert op.mem_addrs[0] >= 2 * array_bytes
+
+
+class TestSpan:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        region_base=st.integers(0, 1 << 16),
+        region_sectors=st.integers(1, 64),
+        offset=st.integers(0, 1 << 10),
+        count=st.integers(1, 80),
+    )
+    @example(region_base=0, region_sectors=8, offset=2, count=4)  # no wrap
+    @example(region_base=3, region_sectors=8, offset=6, count=4)  # wraps once
+    @example(region_base=5, region_sectors=2, offset=1, count=9)  # wraps often
+    def test_equals_modulo_form(self, region_base, region_sectors, offset, count):
+        region_base *= params.SECTOR_BYTES
+        region_bytes = region_sectors * params.SECTOR_BYTES
+        offset = offset % region_sectors * params.SECTOR_BYTES
+        assert patterns._span(region_base + offset, count, region_base, region_bytes) == tuple(
+            region_base + (offset + i * params.SECTOR_BYTES) % region_bytes
+            for i in range(count)
+        )
+
+
+class TestOpStreamMemory:
+    """Only ``tiled`` memoizes its ops; every other generator keeps no op
+    alive once it is consumed, so a warp's stream costs constant memory."""
+
+    #: traced growth allowed over 1,800 ops: a memo costs hundreds of
+    #: bytes per distinct op, so memoizing even 2% of them would exceed it.
+    BOUND_BYTES = 8 * 1024
+
+    @pytest.mark.parametrize(
+        "factory",
+        [patterns.streaming, patterns.stencil, patterns.random_access, patterns.mixed],
+    )
+    def test_consumed_ops_are_freed(self, factory):
+        spec = spec_for(factory, working_set=64 * MB, write_ratio=0.3)
+        ops = factory(spec, 0, 4)
+        tracemalloc.start()
+        try:
+            for _ in itertools.islice(ops, 200):
+                pass
+            after_200 = tracemalloc.get_traced_memory()[0]
+            for _ in itertools.islice(ops, 1800):
+                pass
+            after_2000 = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert after_2000 - after_200 < self.BOUND_BYTES
 
 
 class TestComputeOnly:
